@@ -66,8 +66,6 @@ def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
                    help="disable per-epoch shuffling (debugging only)")
     p.add_argument("--resume", type=Path, default=None,
                    help="checkpoint to resume from")
-    p.add_argument("--debug-checks", action="store_true",
-                   help="assert tie/detachment invariants every epoch")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,8 +200,7 @@ def _config_from_args(args: argparse.Namespace, mode: str) -> TrainConfig:
                           decay_factor=args.decay_factor, alpha=args.alpha),
         l2_lambda=l2, input_keep=args.input_keep,
         hidden_keep=args.hidden_keep, shuffle=args.shuffle,
-        data_dir=args.data_dir, out_dir=args.out_dir,
-        debug_checks=args.debug_checks, **_seeds(args.seed))
+        data_dir=args.data_dir, out_dir=args.out_dir, **_seeds(args.seed))
 
 
 def _print_result(result) -> None:

@@ -17,6 +17,9 @@ base model's own input layer (group n) is updated from its single gradient,
 unaveraged. This computes exactly the values that survive the per-minibatch
 copy from lesser to bigger models; ``verify.LiteralFamily`` re-derives the
 same trajectory the long way as a cross-check.
+
+A regularly trained baseline with n hidden layers is stored the same way,
+head first, and trains only through the base view, model n.
 """
 
 from __future__ import annotations
@@ -29,31 +32,37 @@ from .errors import ConfigError, ConsistencyError
 from .nn import DenseLayer, LayerGrads
 
 DEFAULT_INPUT_DIM = 784
-DEFAULT_HIDDEN_DIM = 784
 DEFAULT_CLASSES = 10
 
 
 @dataclass
 class CanonicalGroup:
-    """One shared weight/bias storage location plus its owning model index."""
+    """One shared weight/bias storage location."""
 
     id: int
     layer: DenseLayer
-    owner: int
 
 
 class ModelFamily:
-    """n+1 nested model views over n+1 canonical parameter groups."""
+    """n+1 nested model views over n+1 canonical parameter groups.
 
-    def __init__(self, n: int, groups: list[CanonicalGroup],
-                 input_dim: int, hidden_dim: int, classes: int):
-        if len(groups) != n + 1:
-            raise ConsistencyError(f"need {n + 1} groups, got {len(groups)}")
-        self.n = n
+    Everything else is read from the groups: group 0 is the head
+    ``classes x input_dim``; every other group is square, because a model's
+    input layer doubles as the next model's first hidden layer.
+    """
+
+    def __init__(self, groups: list[CanonicalGroup]):
+        if not groups:
+            raise ConsistencyError("a family needs at least the head group")
+        self.n = len(groups) - 1
         self.groups = groups
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        self.classes = classes
+        self.classes, self.input_dim = groups[0].layer.weight.shape
+        square = (self.input_dim, self.input_dim)
+        for g, group in enumerate(groups[1:], 1):
+            if group.layer.weight.shape != square:
+                raise ConsistencyError(
+                    f"group {g} has shape {group.layer.weight.shape}, "
+                    f"tying needs {square}")
 
     def view(self, m: int) -> list[DenseLayer]:
         """Model m's layer list (aliases of the shared storage)."""
@@ -74,26 +83,18 @@ def init_layer(out_dim: int, in_dim: int, rng: np.random.Generator) -> DenseLaye
 
 
 def build_family(n: int, input_dim: int = DEFAULT_INPUT_DIM,
-                 hidden_dim: int = DEFAULT_HIDDEN_DIM,
                  classes: int = DEFAULT_CLASSES,
                  init_seed: int = 0) -> ModelFamily:
-    """Allocate and initialize the n+1 canonical groups.
-
-    Parameter tying forces the hidden width to equal the input width (a
-    model's input layer doubles as the next model's first hidden layer).
-    """
+    """Allocate and initialize the n+1 canonical groups; group g draws from
+    the stream ``[init_seed, g]``."""
     if n < 1:
         raise ConfigError(f"family needs n >= 1 hidden layers, got {n}")
-    if hidden_dim != input_dim:
-        raise ConfigError(f"tying requires hidden_dim == input_dim, got "
-                          f"{hidden_dim} != {input_dim}")
     groups = []
     for g in range(n + 1):
         rng = np.random.default_rng([init_seed, g])
-        out_dim = classes if g == 0 else hidden_dim
-        groups.append(CanonicalGroup(id=g, owner=g,
-                                     layer=init_layer(out_dim, input_dim, rng)))
-    return ModelFamily(n, groups, input_dim, hidden_dim, classes)
+        out_dim = classes if g == 0 else input_dim
+        groups.append(CanonicalGroup(g, init_layer(out_dim, input_dim, rng)))
+    return ModelFamily(groups)
 
 
 def param_count(family: ModelFamily, m: int) -> int:

@@ -7,7 +7,9 @@ train-mode forward of every model with independent per-model dropout masks
 penalty added to the base model's weight gradients, pairwise gradient
 averaging into canonical groups, the EMA-style momentum update, and the
 parameter update. Reference runs train a single model with plain gradients,
-L2 on all weights, and standard momentum.
+L2 on all weights, and standard momentum; that model is stored as a family
+whose base view is the only one trained, so both kinds of run share one
+init, resume, loop and checkpoint path.
 
 Randomness is split by purpose and keyed by position: shuffling by
 (seed, epoch), dropout by (seed, epoch, step, model). Resuming from a
@@ -57,12 +59,10 @@ class TrainConfig:
     shuffle_seed: int = 1
     dropout_seed: int = 2
     shuffle: bool = True
-    input_dim: int = 784
-    hidden_dim: int = 784
+    input_dim: int = 784  # also the hidden width, which tying requires
     classes: int = 10
     data_dir: Path | None = None
     out_dir: Path | None = None
-    debug_checks: bool = False
 
     def __post_init__(self):
         if self.mode not in ("nsn", "reference"):
@@ -89,7 +89,7 @@ class TrainConfig:
     def model_spec(self, m: int) -> ModelSpec:
         """Spec of the model with m hidden layers; the 0-hidden model never
         gets dropout."""
-        dims = (self.input_dim,) + (self.hidden_dim,) * m + (self.classes,)
+        dims = (self.input_dim,) * (m + 1) + (self.classes,)
         if m == 0:
             return ModelSpec(dims)
         return ModelSpec(dims, self.input_keep, self.hidden_keep)
@@ -201,36 +201,31 @@ def evaluate(params: Sequence[DenseLayer], dataset: Dataset,
     return correct / dataset.count
 
 
-def _assert_family_invariants(family: ModelFamily, probe: np.ndarray) -> None:
-    """Debug pass: tie consistency plus detachment exactness on a probe."""
-    from .family import detach
-
-    copy_up(family)
-    for k in range(family.n + 1):
-        view = family.view(family.n - k)
-        spec = spec_for_params(view)
-        got, _ = model_forward(spec, detach(family, k), probe, "eval")
-        want, _ = model_forward(spec, view, probe, "eval")
-        if not np.array_equal(got, want):
-            raise ConsistencyError(f"detachment exactness violated at k={k}")
-
-
 class _MetricsWriter:
-    """Appends one CSV row per epoch, flushing immediately."""
+    """Appends one CSV row per epoch, flushing immediately.
 
-    def __init__(self, out_dir: Path | None, n_models: int):
+    Rows from ``start_epoch`` on, left in the file by an earlier run, are
+    dropped first: a run resumed from an earlier checkpoint rewrites them
+    instead of repeating them, and a fresh run starts a fresh file.
+    """
+
+    def __init__(self, out_dir: Path | None, n_models: int,
+                 start_epoch: int):
         self.handle = None
         if out_dir is None:
             return
         path = Path(out_dir) / METRICS_FILE
-        new = not path.exists() or path.stat().st_size == 0
-        self.handle = open(path, "a", encoding="utf-8")
-        if new:
-            cols = (["epoch", "lr"]
-                    + [f"loss_m{i}" for i in range(n_models)]
-                    + [f"acc_m{i}" for i in range(n_models)])
-            self.handle.write(",".join(cols) + "\n")
-            self.handle.flush()
+        cols = (["epoch", "lr"]
+                + [f"loss_m{i}" for i in range(n_models)]
+                + [f"acc_m{i}" for i in range(n_models)])
+        kept = [",".join(cols) + "\n"]
+        if path.exists():
+            with open(path, encoding="utf-8") as fh:
+                kept += [row for row in fh.readlines()[1:]
+                         if int(row.split(",", 1)[0]) < start_epoch]
+        self.handle = open(path, "w", encoding="utf-8")
+        self.handle.writelines(kept)
+        self.handle.flush()
 
     def write(self, record: MetricsRecord) -> None:
         if self.handle is None:
@@ -257,80 +252,120 @@ def _write_best(out_dir: Path | None, best_epoch: int,
                     encoding="utf-8")
 
 
-def family_groups_state(family: ModelFamily,
-                        momentum: Sequence[MomentumState]) -> list[GroupState]:
-    return [GroupState(weight=g.layer.weight, bias=g.layer.bias,
-                       v_weight=s.v_weight, v_bias=s.v_bias)
-            for g, s in zip(family.groups, momentum)]
-
-
 def family_from_checkpoint(ckpt: Checkpoint) -> tuple[ModelFamily,
                                                       list[MomentumState]]:
-    """Rebuild a family plus momentum buffers from a checkpoint."""
+    """Rebuild a family, or a baseline stored as one, plus momentum buffers
+    from a checkpoint."""
     if len(ckpt.groups) != ckpt.n + 1:
         raise ConsistencyError(f"checkpoint claims n={ckpt.n} but has "
                                f"{len(ckpt.groups)} groups")
-    classes, input_dim = ckpt.groups[0].weight.shape
-    hidden = ckpt.groups[1].weight.shape[0] if ckpt.n >= 1 else input_dim
-    groups = [CanonicalGroup(id=g, owner=g,
-                             layer=DenseLayer(gs.weight.copy(),
+    family = ModelFamily([
+        CanonicalGroup(id=g, layer=DenseLayer(gs.weight.copy(),
                                               gs.bias.copy()))
-              for g, gs in enumerate(ckpt.groups)]
-    family = ModelFamily(ckpt.n, groups, input_dim, hidden, classes)
+        for g, gs in enumerate(ckpt.groups)])
     momentum = [MomentumState(v_weight=gs.v_weight.copy(),
                               v_bias=gs.v_bias.copy())
                 for gs in ckpt.groups]
     return family, momentum
 
 
-def _layers_to_groups(layers: Sequence[DenseLayer],
-                      momentum: Sequence[MomentumState]) -> list[GroupState]:
-    """Reference layers (input first) stored head-first like family groups."""
-    return [GroupState(weight=layer.weight, bias=layer.bias,
-                       v_weight=state.v_weight, v_bias=state.v_bias)
-            for layer, state in zip(reversed(layers), reversed(momentum))]
-
-
-def _layers_from_checkpoint(ckpt: Checkpoint) -> tuple[list[DenseLayer],
-                                                       list[MomentumState]]:
-    layers = [DenseLayer(gs.weight.copy(), gs.bias.copy())
-              for gs in reversed(ckpt.groups)]
-    momentum = [MomentumState(gs.v_weight.copy(), gs.v_bias.copy())
-                for gs in reversed(ckpt.groups)]
-    return layers, momentum
-
-
 def init_reference_layers(config: TrainConfig) -> list[DenseLayer]:
+    """Baseline layers, input first; layer i draws from [init_seed, i]."""
     dims = config.model_spec(config.n_hidden).dims
     return [init_layer(dims[i + 1], dims[i],
                        np.random.default_rng([config.init_seed, i]))
             for i in range(len(dims) - 1)]
 
 
-def _run_loop(config: TrainConfig, train_ds: Dataset, test_ds: Dataset,
-              step_fn: Callable[..., list[float]],
-              views_fn: Callable[[], list],
-              state_fn: Callable[[], list],
-              start_epoch: int,
-              log: Callable[[str], None] | None) -> TrainResult:
+def init_family(config: TrainConfig) -> ModelFamily:
+    """Fresh parameters for ``config.mode``; the baseline's layers are
+    stored head first, as groups n..0 of a family."""
+    if config.mode == "nsn":
+        return build_family(config.n_hidden, config.input_dim,
+                            config.classes, config.init_seed)
+    layers = init_reference_layers(config)
+    return ModelFamily([CanonicalGroup(id=g, layer=layer)
+                        for g, layer in enumerate(reversed(layers))])
+
+
+def train(config: TrainConfig, train_ds: Dataset | None = None,
+          test_ds: Dataset | None = None, resume_from: Path | None = None,
+          log: Callable[[str], None] | None = None) -> TrainResult:
+    """Train the full family; track the epoch with the best base-model test
+    accuracy and snapshot every model's accuracy there."""
+    return _train(config, "nsn", train_ds, test_ds, resume_from, log)
+
+
+def train_reference(config: TrainConfig, train_ds: Dataset | None = None,
+                    test_ds: Dataset | None = None,
+                    resume_from: Path | None = None,
+                    log: Callable[[str], None] | None = None) -> TrainResult:
+    """Train a single regularly-updated model (the baseline protocol)."""
+    return _train(config, "reference", train_ds, test_ds, resume_from, log)
+
+
+def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
+           test_ds: Dataset | None, resume_from: Path | None,
+           log: Callable[[str], None] | None) -> TrainResult:
+    """The loop both trainers share; ``mode`` picks the step and the models
+    that are evaluated (every view of a family, the base view of a
+    baseline).
+
+    When resuming, the checkpoint's seeds replace the config's, and its best
+    epoch is carried on, so the run continues exactly as the uninterrupted
+    one, files included.
+    """
+    if config.mode != mode:
+        raise ConfigError(f"expected a config with mode={mode!r}, "
+                          f"got {config.mode!r}")
+    if train_ds is None or test_ds is None:
+        if config.data_dir is None:
+            raise ConfigError("no datasets given and no data_dir configured")
+        train_ds, test_ds = load_data_dir(config.data_dir)
+    n_models = config.n_hidden + 1 if mode == "nsn" else 1
+    start_epoch, best_epoch, best_accs = 0, -1, [0.0] * n_models
+    if resume_from is None:
+        family = init_family(config)
+        momentum = [MomentumState.zeros_like(g.layer) for g in family.groups]
+    else:
+        ckpt = load_checkpoint(resume_from)
+        if ckpt.n != config.n_hidden:
+            raise ConsistencyError(f"checkpoint n={ckpt.n} does not match "
+                                   f"config n_hidden={config.n_hidden}")
+        config = replace(config, init_seed=ckpt.init_seed,
+                         shuffle_seed=ckpt.shuffle_seed,
+                         dropout_seed=ckpt.dropout_seed)
+        family, momentum = family_from_checkpoint(ckpt)
+        start_epoch = ckpt.epoch
+        if ckpt.best_accuracies:  # a version 1 file leaves the best unknown
+            if len(ckpt.best_accuracies) != n_models:
+                raise ConsistencyError(
+                    f"checkpoint tracks {len(ckpt.best_accuracies)} models, "
+                    f"a {mode} run trains {n_models}")
+            best_epoch, best_accs = ckpt.best_epoch, ckpt.best_accuracies
+    models = family.views() if mode == "nsn" else [family.view(family.n)]
+    base_momentum = momentum[::-1]  # input layer first, like the base view
+
     out_dir = config.out_dir
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-    n_models = len(views_fn())
     plan = BatchPlan(batch_size=config.batch_size, shuffle=config.shuffle,
                      seed=config.shuffle_seed)
-    writer = _MetricsWriter(out_dir, n_models)
+    writer = _MetricsWriter(out_dir, n_models, start_epoch)
     history: list[MetricsRecord] = []
-    best_epoch, best_accs = -1, [0.0] * n_models
 
     def checkpoint_at(epoch_done: int, name: str) -> Path | None:
         if out_dir is None:
             return None
         path = Path(out_dir) / name
+        groups = [GroupState(weight=g.layer.weight, bias=g.layer.bias,
+                             v_weight=s.v_weight, v_bias=s.v_bias)
+                  for g, s in zip(family.groups, momentum)]
         save_checkpoint(path, Checkpoint(
-            n=config.n_hidden, groups=state_fn(), epoch=epoch_done,
+            n=config.n_hidden, groups=groups, epoch=epoch_done,
             init_seed=config.init_seed, shuffle_seed=config.shuffle_seed,
-            dropout_seed=config.dropout_seed, config_echo=config.echo()))
+            dropout_seed=config.dropout_seed, config_echo=config.echo(),
+            best_epoch=best_epoch, best_accuracies=best_accs))
         return path
 
     try:
@@ -339,10 +374,15 @@ def _run_loop(config: TrainConfig, train_ds: Dataset, test_ds: Dataset,
             loss_sums = np.zeros(n_models)
             seen = 0
             for step, batch in enumerate(batches(train_ds, plan, epoch)):
-                losses = step_fn(batch, epoch, step)
+                if mode == "nsn":
+                    losses = train_step(family, momentum, batch, config,
+                                        epoch, step)
+                else:
+                    losses = reference_step(models[0], base_momentum, batch,
+                                            config, epoch, step)
                 loss_sums += np.asarray(losses) * batch[0].shape[0]
                 seen += batch[0].shape[0]
-            accs = [evaluate(view, test_ds) for view in views_fn()]
+            accs = [evaluate(view, test_ds) for view in models]
             record = MetricsRecord(epoch=epoch, lr=lr,
                                    losses=list(loss_sums / seen),
                                    accuracies=accs)
@@ -368,91 +408,4 @@ def _run_loop(config: TrainConfig, train_ds: Dataset, test_ds: Dataset,
                        best_accuracies=best_accs,
                        final_accuracies=history[-1].accuracies if history
                        else [],
-                       views=views_fn(), checkpoint_path=final_path)
-
-
-def _load_datasets(config: TrainConfig, train_ds: Dataset | None,
-                   test_ds: Dataset | None) -> tuple[Dataset, Dataset]:
-    if train_ds is not None and test_ds is not None:
-        return train_ds, test_ds
-    if config.data_dir is None:
-        raise ConfigError("no datasets given and no data_dir configured")
-    return load_data_dir(config.data_dir)
-
-
-def train(config: TrainConfig, train_ds: Dataset | None = None,
-          test_ds: Dataset | None = None, resume_from: Path | None = None,
-          log: Callable[[str], None] | None = None) -> TrainResult:
-    """Train the full family; track the epoch with the best base-model test
-    accuracy and snapshot every model's accuracy there.
-
-    When resuming, the checkpoint's seeds replace the config's so the
-    parameter trajectory continues exactly as the uninterrupted run.
-    """
-    if config.mode != "nsn":
-        raise ConfigError(f"train() expects mode='nsn', got {config.mode!r}")
-    train_ds, test_ds = _load_datasets(config, train_ds, test_ds)
-    start_epoch = 0
-    if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
-        if ckpt.n != config.n_hidden:
-            raise ConsistencyError(f"checkpoint n={ckpt.n} does not match "
-                                   f"config n_hidden={config.n_hidden}")
-        config = replace(config, init_seed=ckpt.init_seed,
-                         shuffle_seed=ckpt.shuffle_seed,
-                         dropout_seed=ckpt.dropout_seed)
-        family, momentum = family_from_checkpoint(ckpt)
-        start_epoch = ckpt.epoch
-    else:
-        family = build_family(config.n_hidden, config.input_dim,
-                              config.hidden_dim, config.classes,
-                              config.init_seed)
-        momentum = [MomentumState.zeros_like(g.layer) for g in family.groups]
-
-    probe = test_ds.images[:2]
-
-    def step_fn(batch, epoch, step):
-        losses = train_step(family, momentum, batch, config, epoch, step)
-        return losses
-
-    def epoch_views():
-        if config.debug_checks:
-            _assert_family_invariants(family, probe)
-        return family.views()
-
-    return _run_loop(config, train_ds, test_ds, step_fn, epoch_views,
-                     lambda: family_groups_state(family, momentum),
-                     start_epoch, log)
-
-
-def train_reference(config: TrainConfig, train_ds: Dataset | None = None,
-                    test_ds: Dataset | None = None,
-                    resume_from: Path | None = None,
-                    log: Callable[[str], None] | None = None) -> TrainResult:
-    """Train a single regularly-updated model (the baseline protocol)."""
-    if config.mode != "reference":
-        raise ConfigError(f"train_reference() expects mode='reference', "
-                          f"got {config.mode!r}")
-    train_ds, test_ds = _load_datasets(config, train_ds, test_ds)
-    start_epoch = 0
-    if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
-        if ckpt.n != config.n_hidden:
-            raise ConsistencyError(f"checkpoint n={ckpt.n} does not match "
-                                   f"config n_hidden={config.n_hidden}")
-        config = replace(config, init_seed=ckpt.init_seed,
-                         shuffle_seed=ckpt.shuffle_seed,
-                         dropout_seed=ckpt.dropout_seed)
-        layers, momentum = _layers_from_checkpoint(ckpt)
-        start_epoch = ckpt.epoch
-    else:
-        layers = init_reference_layers(config)
-        momentum = [MomentumState.zeros_like(layer) for layer in layers]
-
-    def step_fn(batch, epoch, step):
-        return reference_step(layers, momentum, batch, config, epoch, step)
-
-    return _run_loop(config, train_ds, test_ds, step_fn,
-                     lambda: [layers],
-                     lambda: _layers_to_groups(layers, momentum),
-                     start_epoch, log)
+                       views=models, checkpoint_path=final_path)

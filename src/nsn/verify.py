@@ -84,7 +84,7 @@ def _toy_config(n: int = 2, width: int = 4, classes: int = 3,
         l2_lambda=1e-3,
         input_keep=0.8 if dropout else 1.0,
         hidden_keep=0.5 if dropout else 1.0,
-        input_dim=width, hidden_dim=width, classes=classes,
+        input_dim=width, classes=classes,
         shuffle=False)
 
 
@@ -100,8 +100,8 @@ def _toy_batches(config: TrainConfig, steps: int, seed: int = 11):
 def check_tie_invariant(steps: int = 100) -> CheckResult:
     """Tied layers stay bitwise equal across views after random updates."""
     config = _toy_config()
-    family = build_family(config.n_hidden, config.input_dim,
-                          config.hidden_dim, config.classes, init_seed=3)
+    family = build_family(config.n_hidden, config.input_dim, config.classes,
+                          init_seed=3)
     momentum = [MomentumState.zeros_like(g.layer) for g in family.groups]
     for step, batch in enumerate(_toy_batches(config, steps)):
         train_step(family, momentum, batch, config, epoch=0, step=step)
@@ -118,7 +118,7 @@ def check_tie_invariant(steps: int = 100) -> CheckResult:
 
 def check_detach_exactness() -> CheckResult:
     """detach(family, k) forwards bitwise identically to view(n - k)."""
-    family = build_family(2, 8, 8, 10, init_seed=5)
+    family = build_family(2, 8, 10, init_seed=5)
     x = np.random.default_rng(6).random((16, 8)).astype(np.float32)
     for k in range(family.n + 1):
         view = family.view(family.n - k)
@@ -226,8 +226,8 @@ def check_canonical_vs_literal(steps: int = 50,
                                tol: float = 1e-6) -> CheckResult:
     """Shared-storage trajectory equals the literal scheme's owner values."""
     config = _toy_config()
-    family = build_family(config.n_hidden, config.input_dim,
-                          config.hidden_dim, config.classes, init_seed=13)
+    family = build_family(config.n_hidden, config.input_dim, config.classes,
+                          init_seed=13)
     momentum = [MomentumState.zeros_like(g.layer) for g in family.groups]
     literal = LiteralFamily(family, config)
     worst = 0.0

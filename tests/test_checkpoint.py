@@ -1,3 +1,6 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,19 @@ def sample_checkpoint(seed=0):
             v_bias=rng.standard_normal(shape[0]).astype(np.float32)))
     return Checkpoint(n=2, groups=groups, epoch=17, init_seed=1,
                       shuffle_seed=2, dropout_seed=3,
-                      config_echo='{"n_hidden": 2}')
+                      config_echo='{"n_hidden": 2}', best_epoch=12,
+                      best_accuracies=[0.9, 1 / 3, 0.97])
+
+
+def version1_bytes() -> bytes:
+    """A one-group version 1 file, laid out by hand from the format."""
+    w = np.arange(6, dtype=np.float32).reshape(2, 3)
+    b = np.array([0.5, -0.5], np.float32)
+    group = (struct.pack("<II", 2, 3) + w.tobytes() + struct.pack("<I", 2)
+             + b.tobytes() + (2 * w).tobytes() + struct.pack("<I", 2)
+             + (2 * b).tobytes())
+    return (b"NSN1" + struct.pack("<III", 1, 0, 1) + group
+            + struct.pack("<IQQQ", 4, 7, 8, 9) + struct.pack("<I", 2) + b"{}")
 
 
 class TestRoundTrip:
@@ -31,6 +46,8 @@ class TestRoundTrip:
         assert (loaded.init_seed, loaded.shuffle_seed,
                 loaded.dropout_seed) == (1, 2, 3)
         assert loaded.config_echo == original.config_echo
+        assert loaded.best_epoch == 12
+        assert loaded.best_accuracies == [0.9, 1 / 3, 0.97]
         for a, b in zip(loaded.groups, original.groups):
             assert a.weight.tobytes() == b.weight.tobytes()
             assert a.bias.tobytes() == b.bias.tobytes()
@@ -49,6 +66,39 @@ class TestRoundTrip:
         path = tmp_path / "model.nsn"
         save_checkpoint(path, ckpt)
         assert load_checkpoint(path).init_seed == 2**63 + 5
+
+
+class TestVersion1:
+    def test_loads_with_best_unknown(self, tmp_path):
+        path = tmp_path / "v1.nsn"
+        path.write_bytes(version1_bytes())
+        ckpt = load_checkpoint(path)
+        assert (ckpt.version, ckpt.n, ckpt.epoch) == (1, 0, 4)
+        assert (ckpt.best_epoch, ckpt.best_accuracies) == (-1, [])
+        assert ckpt.groups[0].v_weight[1, 2] == 10.0
+
+    def test_load_save_is_bitwise(self, tmp_path):
+        p1, p2 = tmp_path / "a.nsn", tmp_path / "b.nsn"
+        p1.write_bytes(version1_bytes())
+        save_checkpoint(p2, load_checkpoint(p1))
+        assert p2.read_bytes() == p1.read_bytes()
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path,
+                                                    monkeypatch):
+        path = tmp_path / "model.nsn"
+        save_checkpoint(path, sample_checkpoint(seed=0))
+        before = path.read_bytes()
+
+        def disk_full(fd):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, sample_checkpoint(seed=1))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.nsn"]
 
 
 class TestCorruption:

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import nsn
 from conftest import write_idx_dir
 from nsn.checkpoint import load_checkpoint
 from nsn.cli import build_parser, load_config_file, main
@@ -160,6 +166,18 @@ class TestConfigFile:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_debug_checks_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("debug-checks=true\n")
+        code = main(["train", "--config", str(cfg),
+                     "--data-dir", str(tmp_path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "debug_checks" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--debug-checks", "--data-dir", str(tmp_path),
+                  "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_parse_and_comments(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\n\nepochs = 3\nno_shuffle=true\n")
@@ -184,3 +202,16 @@ class TestSeedDerivation:
 
     def test_parser_builds(self):
         assert build_parser() is not None
+
+
+def test_import_pins_blas_to_one_thread():
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = dict(os.environ, **{name: "2" for name in names})
+    src = str(Path(nsn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import os, nsn; "
+            f"print(*(os.environ[name] for name in {names!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["1", "1", "1"]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from nsn.errors import ConfigError, ConsistencyError
-from nsn.family import (build_family, copy_up, detach, init_layer,
-                        paired_average_gradients, param_count)
+from nsn.family import (CanonicalGroup, ModelFamily, build_family, copy_up,
+                        detach, init_layer, paired_average_gradients,
+                        param_count)
 from nsn.nn import LayerGrads, model_forward, spec_for_params
 from nsn.verify import LiteralFamily, _toy_config
 
@@ -24,22 +25,22 @@ class TestBuildFamily:
         assert [l.weight.shape for l in family.view(0)] == [(10, 784)]
 
     def test_smallest_family_shares_head(self):
-        family = build_family(1, input_dim=4, hidden_dim=4, classes=10)
+        family = build_family(1, input_dim=4, classes=10)
         assert family.view(1)[-1] is family.view(0)[0]
 
     def test_view_layer_counts(self):
-        family = build_family(3, input_dim=4, hidden_dim=4)
+        family = build_family(3, input_dim=4)
         for m in range(4):
             assert len(family.view(m)) == m + 1
 
     def test_removing_first_layer_yields_previous_view(self):
-        family = build_family(3, input_dim=4, hidden_dim=4)
+        family = build_family(3, input_dim=4)
         for m in range(1, 4):
             assert family.view(m)[1:] == family.view(m - 1)
 
     def test_ownership_covers_each_group_once_per_view(self):
-        family = build_family(3, input_dim=4, hidden_dim=4)
-        assert [g.owner for g in family.groups] == [0, 1, 2, 3]
+        family = build_family(3, input_dim=4)
+        assert [g.id for g in family.groups] == [0, 1, 2, 3]
         for m in range(4):
             seen = [id(layer) for layer in family.view(m)]
             expected = [id(family.groups[g].layer)
@@ -47,8 +48,8 @@ class TestBuildFamily:
             assert seen == expected
 
     def test_init_is_seeded_and_bounded(self):
-        a = build_family(2, input_dim=8, hidden_dim=8, init_seed=42)
-        b = build_family(2, input_dim=8, hidden_dim=8, init_seed=42)
+        a = build_family(2, input_dim=8, init_seed=42)
+        b = build_family(2, input_dim=8, init_seed=42)
         for ga, gb in zip(a.groups, b.groups):
             assert np.array_equal(ga.layer.weight, gb.layer.weight)
             assert np.all(np.abs(ga.layer.weight) <= 1 / np.sqrt(8))
@@ -57,11 +58,16 @@ class TestBuildFamily:
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
             build_family(0)
-        with pytest.raises(ConfigError):
-            build_family(1, input_dim=784, hidden_dim=512)
+        head = CanonicalGroup(0, init_layer(10, 784, np.random.default_rng()))
+        narrow = CanonicalGroup(1, init_layer(512, 784,
+                                              np.random.default_rng()))
+        with pytest.raises(ConsistencyError, match="tying"):
+            ModelFamily([head, narrow])
+        with pytest.raises(ConsistencyError):
+            ModelFamily([])
 
     def test_model_index_out_of_range(self):
-        family = build_family(1, input_dim=4, hidden_dim=4)
+        family = build_family(1, input_dim=4)
         with pytest.raises(IndexError):
             family.view(2)
 
@@ -76,12 +82,12 @@ class TestParamCount:
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            param_count(build_family(1, input_dim=4, hidden_dim=4), 2)
+            param_count(build_family(1, input_dim=4), 2)
 
 
 class TestCopyUp:
     def test_shared_storage_is_checked_noop(self):
-        family = build_family(2, input_dim=4, hidden_dim=4)
+        family = build_family(2, input_dim=4)
         before = [g.layer.weight.copy() for g in family.groups]
         copy_up(family)
         copy_up(family)  # idempotent
@@ -90,7 +96,7 @@ class TestCopyUp:
 
     def test_literal_double_erases_perturbation(self):
         config = _toy_config(n=2, width=4, classes=3, dropout=False)
-        family = build_family(2, 4, 4, 3, init_seed=1)
+        family = build_family(2, 4, 3, init_seed=1)
         literal = LiteralFamily(family, config)
         # perturb the biggest model's second layer; the lesser model's
         # first layer must win
@@ -101,7 +107,7 @@ class TestCopyUp:
 
     def test_literal_double_ties_all_views_after_copy(self):
         config = _toy_config(n=2, width=4, classes=3, dropout=False)
-        family = build_family(2, 4, 4, 3, init_seed=2)
+        family = build_family(2, 4, 3, init_seed=2)
         literal = LiteralFamily(family, config)
         for model in literal.models:
             for layer in model:
@@ -143,11 +149,11 @@ class TestPairedAverageGradients:
 
 class TestDetach:
     def test_zero_drop_is_base_model(self):
-        family = build_family(2, input_dim=4, hidden_dim=4)
+        family = build_family(2, input_dim=4)
         assert detach(family, 0) == family.view(2)
 
     def test_drop_one_matches_next_view_bitwise(self):
-        family = build_family(2, input_dim=4, hidden_dim=4, init_seed=3)
+        family = build_family(2, input_dim=4, init_seed=3)
         x = np.random.default_rng(4).random((5, 4)).astype(np.float32)
         view = family.view(1)
         spec = spec_for_params(view)
@@ -156,12 +162,12 @@ class TestDetach:
         assert np.array_equal(got, want)
 
     def test_drop_all_is_softmax_regression(self):
-        family = build_family(2, input_dim=4, hidden_dim=4)
+        family = build_family(2, input_dim=4)
         assert detach(family, 2) == family.view(0)
         assert len(detach(family, 2)) == 1
 
     def test_drop_too_many_rejected(self):
-        family = build_family(2, input_dim=4, hidden_dim=4)
+        family = build_family(2, input_dim=4)
         with pytest.raises(IndexError):
             detach(family, 3)
 

@@ -5,28 +5,29 @@ import pytest
 
 from conftest import toy_dataset
 from nsn.checkpoint import load_checkpoint
-from nsn.errors import ConfigError, DivergenceError
+from nsn.errors import ConfigError, ConsistencyError, DivergenceError
 from nsn.family import build_family
 from nsn.mnist import Dataset
 from nsn.nn import DenseLayer
 from nsn.optim import MomentumState, Schedule
-from nsn.train import (TrainConfig, evaluate, family_from_checkpoint,
-                       reference_step, train, train_reference, train_step)
+from nsn.train import (BEST_CHECKPOINT, BEST_FILE, FINAL_CHECKPOINT,
+                       METRICS_FILE, TrainConfig, evaluate,
+                       family_from_checkpoint, reference_step, train,
+                       train_reference, train_step)
 
 
 def toy_config(**overrides):
     base = dict(mode="nsn", n_hidden=2, epochs=3, batch_size=8,
                 schedule=Schedule(base_lr=0.1, decay_every=2, alpha=0.9),
                 l2_lambda=1e-4, input_keep=0.8, hidden_keep=0.5,
-                input_dim=4, hidden_dim=4, classes=5,
+                input_dim=4, classes=5,
                 init_seed=5, shuffle_seed=6, dropout_seed=7)
     base.update(overrides)
     return TrainConfig(**base)
 
 
 def fresh_family(config):
-    family = build_family(config.n_hidden, config.input_dim,
-                          config.hidden_dim, config.classes,
+    family = build_family(config.n_hidden, config.input_dim, config.classes,
                           config.init_seed)
     momentum = [MomentumState.zeros_like(g.layer) for g in family.groups]
     return family, momentum
@@ -62,7 +63,7 @@ class TestTrainStepHandOracle:
             mode="nsn", n_hidden=1, epochs=1, batch_size=2,
             schedule=Schedule(base_lr=0.5, decay_every=100, alpha=0.0),
             l2_lambda=0.0, input_keep=1.0, hidden_keep=1.0,
-            input_dim=2, hidden_dim=2, classes=2)
+            input_dim=2, classes=2)
         family, momentum = fresh_family(config)
         family.groups[0].layer.weight = np.array(self.W0, np.float32)
         family.groups[0].layer.bias = np.array(self.B0, np.float32)
@@ -198,7 +199,7 @@ class TestEvaluate:
 
     def test_random_model_near_chance(self):
         rng = np.random.default_rng(23)
-        family = build_family(1, input_dim=8, hidden_dim=8, classes=10,
+        family = build_family(1, input_dim=8, classes=10,
                               init_seed=24)
         labels = np.arange(5000) % 10  # balanced
         images = rng.random((5000, 8)).astype(np.float32)
@@ -208,7 +209,7 @@ class TestEvaluate:
 
     def test_detached_view_scores_identically(self):
         from nsn.family import detach
-        family = build_family(2, input_dim=6, hidden_dim=6, classes=4,
+        family = build_family(2, input_dim=6, classes=4,
                               init_seed=25)
         ds = toy_dataset(200, 6, 4, seed=26)
         assert (evaluate(detach(family, 1), ds)
@@ -217,7 +218,7 @@ class TestEvaluate:
 
 class TestTrainLoop:
     def test_toy_run_writes_artifacts(self, tmp_path):
-        config = toy_config(epochs=3, out_dir=tmp_path, debug_checks=True)
+        config = toy_config(epochs=3, out_dir=tmp_path)
         train_ds = toy_dataset(40, config.input_dim, config.classes, seed=1)
         test_ds = toy_dataset(24, config.input_dim, config.classes, seed=2)
         result = train(config, train_ds, test_ds)
@@ -253,22 +254,63 @@ class TestTrainLoop:
         assert result.best_accuracies[-1] == max(base_accs)
         assert result.best_epoch == int(np.argmax(base_accs))
 
-    def test_resume_matches_uninterrupted_run(self, tmp_path):
+    @pytest.mark.parametrize("resume_name", [FINAL_CHECKPOINT,
+                                             BEST_CHECKPOINT])
+    @pytest.mark.parametrize("mode, n_hidden", [("nsn", 1),
+                                                ("reference", 2)],
+                             ids=["nsn", "reference"])
+    def test_resume_matches_uninterrupted_run(self, tmp_path, mode,
+                                              n_hidden, resume_name):
+        # At lr 1.0 on this data both trainers peak in their first two
+        # epochs and fall back, so the resumed run must carry the best
+        # epoch over, and resuming from the best checkpoint re-runs epochs
+        # that metrics.csv already holds.
+        run = train if mode == "nsn" else train_reference
+        train_ds = toy_dataset(40, 4, 5, seed=6)
+        test_ds = toy_dataset(24, 4, 5, seed=7)
+
+        def config(epochs, out_dir):
+            return toy_config(mode=mode, n_hidden=n_hidden, epochs=epochs,
+                              out_dir=out_dir,
+                              schedule=Schedule(base_lr=1.0, decay_every=2,
+                                                alpha=0.9))
+
+        full, resumed = tmp_path / "full", tmp_path / "resumed"
+        uninterrupted = run(config(8, full), train_ds, test_ds)
+        run(config(4, resumed), train_ds, test_ds)
+        run(config(8, resumed), train_ds, test_ds,
+            resume_from=resumed / resume_name)
+
+        base_accs = [r.accuracies[-1] for r in uninterrupted.history]
+        assert uninterrupted.best_epoch < 2
+        assert max(base_accs[4:]) < base_accs[uninterrupted.best_epoch]
+        for name in (METRICS_FILE, BEST_FILE):
+            assert (resumed / name).read_bytes() == (full / name).read_bytes()
+        for name in (FINAL_CHECKPOINT, BEST_CHECKPOINT):
+            a = load_checkpoint(full / name)
+            b = load_checkpoint(resumed / name)
+            for ga, gb in zip(a.groups, b.groups, strict=True):
+                for key in ("weight", "bias", "v_weight", "v_bias"):
+                    assert (getattr(ga, key).tobytes()
+                            == getattr(gb, key).tobytes())
+            a.groups = b.groups = a.config_echo = b.config_echo = None
+            assert a == b
+
+    def test_fresh_run_replaces_old_metrics(self, tmp_path):
         train_ds = toy_dataset(40, 4, 5, seed=5)
         test_ds = toy_dataset(24, 4, 5, seed=6)
+        for _ in range(2):
+            train(toy_config(epochs=2, out_dir=tmp_path), train_ds, test_ds)
+        assert len((tmp_path / METRICS_FILE).read_text().splitlines()) == 3
 
-        full = train(toy_config(epochs=3, out_dir=tmp_path / "full"),
-                     train_ds, test_ds)
-        train(toy_config(epochs=2, out_dir=tmp_path / "part"),
-              train_ds, test_ds)
-        resumed = train(toy_config(epochs=3, out_dir=tmp_path / "resumed"),
-                        train_ds, test_ds,
-                        resume_from=tmp_path / "part" / "checkpoint_final.nsn")
-
-        for a_layers, b_layers in zip(full.views, resumed.views):
-            for a, b in zip(a_layers, b_layers):
-                assert np.array_equal(a.weight, b.weight)
-                assert np.array_equal(a.bias, b.bias)
+    def test_resume_rejects_a_checkpoint_of_the_other_trainer(self,
+                                                              tmp_path):
+        ds = toy_dataset(40, 4, 5, seed=5)
+        train_reference(toy_config(mode="reference", n_hidden=1, epochs=1,
+                                   out_dir=tmp_path), ds, ds)
+        with pytest.raises(ConsistencyError, match="tracks 1 models"):
+            train(toy_config(n_hidden=1, epochs=2), ds, ds,
+                  resume_from=tmp_path / FINAL_CHECKPOINT)
 
     def test_reference_toy_run(self, tmp_path):
         config = toy_config(mode="reference", n_hidden=1, epochs=2,
