@@ -216,6 +216,44 @@ class TestEvaluate:
                 == evaluate(family.view(1), ds))
 
 
+def assert_resume_matches_uninterrupted_run(tmp_path, mode, n_hidden,
+                                          resume_name):
+    # At lr 1.0 on this data both trainers peak in their first two
+    # epochs and fall back, so the resumed run must carry the best
+    # epoch over, and resuming from the best checkpoint re-runs epochs
+    # that metrics.csv already holds.
+    run = train if mode == "nsn" else train_reference
+    train_ds = toy_dataset(40, 4, 5, seed=6)
+    test_ds = toy_dataset(24, 4, 5, seed=7)
+
+    def config(epochs, out_dir):
+        return toy_config(mode=mode, n_hidden=n_hidden, epochs=epochs,
+                          out_dir=out_dir,
+                          schedule=Schedule(base_lr=1.0, decay_every=2,
+                                            alpha=0.9))
+
+    full, resumed = tmp_path / "full", tmp_path / "resumed"
+    uninterrupted = run(config(8, full), train_ds, test_ds)
+    run(config(4, resumed), train_ds, test_ds)
+    run(config(8, resumed), train_ds, test_ds,
+        resume_from=resumed / resume_name)
+
+    base_accs = [r.accuracies[-1] for r in uninterrupted.history]
+    assert uninterrupted.best_epoch < 2
+    assert max(base_accs[4:]) < base_accs[uninterrupted.best_epoch]
+    for name in (METRICS_FILE, BEST_FILE):
+        assert (resumed / name).read_bytes() == (full / name).read_bytes()
+    for name in (FINAL_CHECKPOINT, BEST_CHECKPOINT):
+        a = load_checkpoint(full / name)
+        b = load_checkpoint(resumed / name)
+        for ga, gb in zip(a.groups, b.groups, strict=True):
+            for key in ("weight", "bias", "v_weight", "v_bias"):
+                assert (getattr(ga, key).tobytes()
+                        == getattr(gb, key).tobytes())
+        a.groups = b.groups = a.config_echo = b.config_echo = None
+        assert a == b
+
+
 class TestTrainLoop:
     def test_toy_run_writes_artifacts(self, tmp_path):
         config = toy_config(epochs=3, out_dir=tmp_path)
@@ -254,47 +292,20 @@ class TestTrainLoop:
         assert result.best_accuracies[-1] == max(base_accs)
         assert result.best_epoch == int(np.argmax(base_accs))
 
-    @pytest.mark.parametrize("resume_name", [FINAL_CHECKPOINT,
-                                             BEST_CHECKPOINT])
-    @pytest.mark.parametrize("mode, n_hidden", [("nsn", 1),
-                                                ("reference", 2)],
-                             ids=["nsn", "reference"])
-    def test_resume_matches_uninterrupted_run(self, tmp_path, mode,
-                                              n_hidden, resume_name):
-        # At lr 1.0 on this data both trainers peak in their first two
-        # epochs and fall back, so the resumed run must carry the best
-        # epoch over, and resuming from the best checkpoint re-runs epochs
-        # that metrics.csv already holds.
-        run = train if mode == "nsn" else train_reference
-        train_ds = toy_dataset(40, 4, 5, seed=6)
-        test_ds = toy_dataset(24, 4, 5, seed=7)
+    def test_resume_matches_uninterrupted_run(self, tmp_path):
+        assert_resume_matches_uninterrupted_run(tmp_path, "nsn", 1,
+                                                FINAL_CHECKPOINT)
 
-        def config(epochs, out_dir):
-            return toy_config(mode=mode, n_hidden=n_hidden, epochs=epochs,
-                              out_dir=out_dir,
-                              schedule=Schedule(base_lr=1.0, decay_every=2,
-                                                alpha=0.9))
-
-        full, resumed = tmp_path / "full", tmp_path / "resumed"
-        uninterrupted = run(config(8, full), train_ds, test_ds)
-        run(config(4, resumed), train_ds, test_ds)
-        run(config(8, resumed), train_ds, test_ds,
-            resume_from=resumed / resume_name)
-
-        base_accs = [r.accuracies[-1] for r in uninterrupted.history]
-        assert uninterrupted.best_epoch < 2
-        assert max(base_accs[4:]) < base_accs[uninterrupted.best_epoch]
-        for name in (METRICS_FILE, BEST_FILE):
-            assert (resumed / name).read_bytes() == (full / name).read_bytes()
-        for name in (FINAL_CHECKPOINT, BEST_CHECKPOINT):
-            a = load_checkpoint(full / name)
-            b = load_checkpoint(resumed / name)
-            for ga, gb in zip(a.groups, b.groups, strict=True):
-                for key in ("weight", "bias", "v_weight", "v_bias"):
-                    assert (getattr(ga, key).tobytes()
-                            == getattr(gb, key).tobytes())
-            a.groups = b.groups = a.config_echo = b.config_echo = None
-            assert a == b
+    @pytest.mark.parametrize("mode, n_hidden, resume_name",
+                             [("nsn", 1, BEST_CHECKPOINT),
+                              ("reference", 2, FINAL_CHECKPOINT),
+                              ("reference", 2, BEST_CHECKPOINT)],
+                             ids=["nsn-best", "reference-final",
+                                  "reference-best"])
+    def test_resume_of_either_trainer_from_either_checkpoint(
+            self, tmp_path, mode, n_hidden, resume_name):
+        assert_resume_matches_uninterrupted_run(tmp_path, mode, n_hidden,
+                                                resume_name)
 
     def test_fresh_run_replaces_old_metrics(self, tmp_path):
         train_ds = toy_dataset(40, 4, 5, seed=5)
