@@ -114,9 +114,8 @@ class TrainResult:
     history: list
     best_epoch: int
     best_accuracies: list
-    final_accuracies: list
     views: list  # final parameters, one layer list per model
-    checkpoint_path: Path | None
+    checkpoint_path: Path
 
 
 def _dropout_rng(config: TrainConfig, epoch: int, step: int,
@@ -209,12 +208,8 @@ class _MetricsWriter:
     instead of repeating them, and a fresh run starts a fresh file.
     """
 
-    def __init__(self, out_dir: Path | None, n_models: int,
-                 start_epoch: int):
-        self.handle = None
-        if out_dir is None:
-            return
-        path = Path(out_dir) / METRICS_FILE
+    def __init__(self, out_dir: Path, n_models: int, start_epoch: int):
+        path = out_dir / METRICS_FILE
         cols = (["epoch", "lr"]
                 + [f"loss_m{i}" for i in range(n_models)]
                 + [f"acc_m{i}" for i in range(n_models)])
@@ -228,8 +223,6 @@ class _MetricsWriter:
         self.handle.flush()
 
     def write(self, record: MetricsRecord) -> None:
-        if self.handle is None:
-            return
         row = ([str(record.epoch), f"{record.lr:.8g}"]
                + [f"{v:.8g}" for v in record.losses]
                + [f"{v:.8g}" for v in record.accuracies])
@@ -237,15 +230,12 @@ class _MetricsWriter:
         self.handle.flush()
 
     def close(self) -> None:
-        if self.handle is not None:
-            self.handle.close()
+        self.handle.close()
 
 
-def _write_best(out_dir: Path | None, best_epoch: int,
+def _write_best(out_dir: Path, best_epoch: int,
                 best_accs: Sequence[float]) -> None:
-    if out_dir is None:
-        return
-    path = Path(out_dir) / BEST_FILE
+    path = out_dir / BEST_FILE
     cols = ["best_epoch"] + [f"acc_m{i}" for i in range(len(best_accs))]
     row = [str(best_epoch)] + [f"{v:.8g}" for v in best_accs]
     path.write_text(",".join(cols) + "\n" + ",".join(row) + "\n",
@@ -288,6 +278,22 @@ def init_family(config: TrainConfig) -> ModelFamily:
                         for g, layer in enumerate(reversed(layers))])
 
 
+def _changed_fields(config: TrainConfig, echo: str) -> list[str]:
+    """Fields of ``config`` that differ from a checkpoint's config echo,
+    leaving out those a resumed run may change: its length, its paths, and
+    the seeds, which it takes from the checkpoint."""
+    try:
+        stored = json.loads(echo)
+    except ValueError:
+        stored = None
+    if not isinstance(stored, dict):
+        raise ConsistencyError("checkpoint has no readable config echo")
+    free = {"epochs", "data_dir", "out_dir", "init_seed", "shuffle_seed",
+            "dropout_seed"}
+    return sorted(k for k, v in json.loads(config.echo()).items()
+                  if k not in free and stored.get(k) != v)
+
+
 def train(config: TrainConfig, train_ds: Dataset | None = None,
           test_ds: Dataset | None = None, resume_from: Path | None = None,
           log: Callable[[str], None] | None = None) -> TrainResult:
@@ -311,13 +317,16 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
     that are evaluated (every view of a family, the base view of a
     baseline).
 
-    When resuming, the checkpoint's seeds replace the config's, and its best
-    epoch is carried on, so the run continues exactly as the uninterrupted
-    one, files included.
+    When resuming, the checkpoint's seeds replace the config's, every other
+    field but the epochs and paths must match the checkpoint's config echo,
+    and its best epoch is carried on, so the run continues exactly as the
+    uninterrupted one, files included.
     """
     if config.mode != mode:
         raise ConfigError(f"expected a config with mode={mode!r}, "
                           f"got {config.mode!r}")
+    if config.out_dir is None:
+        raise ConfigError("no out_dir configured")
     if train_ds is None or test_ds is None:
         if config.data_dir is None:
             raise ConfigError("no datasets given and no data_dir configured")
@@ -343,21 +352,22 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
                     f"checkpoint tracks {len(ckpt.best_accuracies)} models, "
                     f"a {mode} run trains {n_models}")
             best_epoch, best_accs = ckpt.best_epoch, ckpt.best_accuracies
+        changed = _changed_fields(config, ckpt.config_echo)
+        if changed:
+            raise ConfigError(f"{resume_from} was trained with other values "
+                              f"of {', '.join(changed)}")
     models = family.views() if mode == "nsn" else [family.view(family.n)]
     base_momentum = momentum[::-1]  # input layer first, like the base view
 
-    out_dir = config.out_dir
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     plan = BatchPlan(batch_size=config.batch_size, shuffle=config.shuffle,
                      seed=config.shuffle_seed)
     writer = _MetricsWriter(out_dir, n_models, start_epoch)
     history: list[MetricsRecord] = []
 
-    def checkpoint_at(epoch_done: int, name: str) -> Path | None:
-        if out_dir is None:
-            return None
-        path = Path(out_dir) / name
+    def checkpoint_at(epoch_done: int, name: str) -> Path:
+        path = out_dir / name
         groups = [GroupState(weight=g.layer.weight, bias=g.layer.bias,
                              v_weight=s.v_weight, v_bias=s.v_bias)
                   for g, s in zip(family.groups, momentum)]
@@ -405,7 +415,5 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
     finally:
         writer.close()
     return TrainResult(history=history, best_epoch=best_epoch,
-                       best_accuracies=best_accs,
-                       final_accuracies=history[-1].accuracies if history
-                       else [],
-                       views=models, checkpoint_path=final_path)
+                       best_accuracies=best_accs, views=models,
+                       checkpoint_path=final_path)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -77,6 +78,16 @@ class TestTrainCommand:
         assert code == 3
         assert "loss" in capsys.readouterr().err
 
+    def test_out_dir_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        data = write_idx_dir(tmp_path / "data", train_count=64,
+                             test_count=32)
+        out = tmp_path / "out"
+        out.write_text("")
+        code = main(["train", "--data-dir", str(data), "--out-dir", str(out),
+                     "--n-hidden", "1", "--epochs", "1"])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
     def test_train_ref_runs(self, tmp_path, capsys):
         data = write_idx_dir(tmp_path / "data", train_count=64,
                              test_count=32)
@@ -99,6 +110,22 @@ class TestEvalCommands:
         stdout = capsys.readouterr().out
         assert "model m0" in stdout and "model m1" in stdout
         assert "7850" in stdout
+
+    def test_eval_of_a_baseline_reports_its_base_model_only(self, tmp_path,
+                                                            capsys):
+        data = write_idx_dir(tmp_path / "data", train_count=64,
+                             test_count=32)
+        out = tmp_path / "ref"
+        assert main(["train-ref", "--data-dir", str(data),
+                     "--out-dir", str(out), "--n-hidden", "1",
+                     "--epochs", "1", "--batch", "32"]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint",
+                     str(out / "checkpoint_final.nsn"),
+                     "--data-dir", str(data)])
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "model m1" in stdout and "model m0" not in stdout
 
     def test_detach_eval_prints_accuracy_and_params(self, tmp_path, capsys):
         data, out = run_tiny_train(tmp_path)
@@ -172,11 +199,35 @@ class TestConfigFile:
         code = main(["train", "--config", str(cfg),
                      "--data-dir", str(tmp_path), "--out-dir", str(tmp_path)])
         assert code == 2
-        assert "debug_checks" in capsys.readouterr().err
+        assert "unknown config keys: debug-checks" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:
             main(["train", "--debug-checks", "--data-dir", str(tmp_path),
                   "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("form", ["--config FILE", "--config=FILE",
+                                      "--conf FILE"])
+    def test_every_spelling_of_the_flag_applies_the_file(self, tmp_path,
+                                                          form):
+        data = write_idx_dir(tmp_path / "data", train_count=64,
+                             test_count=32)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=1\nbatch=32\nn-hidden=1\nno-shuffle=true\n")
+        out = tmp_path / "out"
+        code = main(["train", *form.replace("FILE", str(cfg)).split(),
+                     "--data-dir", str(data), "--out-dir", str(out)])
+        assert code == 0
+        ckpt = load_checkpoint(out / "checkpoint_final.nsn")
+        assert ckpt.n == 1
+        assert json.loads(ckpt.config_echo)["shuffle"] is False
+
+    def test_internal_name_is_not_a_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("shuffle=false\n")
+        code = main(["train", "--config", str(cfg),
+                     "--data-dir", str(tmp_path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "unknown config keys: shuffle" in capsys.readouterr().err
 
     def test_parse_and_comments(self, tmp_path):
         cfg = tmp_path / "run.cfg"

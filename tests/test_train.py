@@ -284,7 +284,7 @@ class TestTrainLoop:
             assert np.array_equal(g.layer.weight, state.weight)
 
     def test_best_tracking_is_running_max(self, tmp_path):
-        config = toy_config(epochs=4)
+        config = toy_config(epochs=4, out_dir=tmp_path)
         train_ds = toy_dataset(40, config.input_dim, config.classes, seed=3)
         test_ds = toy_dataset(24, config.input_dim, config.classes, seed=4)
         result = train(config, train_ds, test_ds)
@@ -320,8 +320,15 @@ class TestTrainLoop:
         train_reference(toy_config(mode="reference", n_hidden=1, epochs=1,
                                    out_dir=tmp_path), ds, ds)
         with pytest.raises(ConsistencyError, match="tracks 1 models"):
-            train(toy_config(n_hidden=1, epochs=2), ds, ds,
-                  resume_from=tmp_path / FINAL_CHECKPOINT)
+            train(toy_config(n_hidden=1, epochs=2, out_dir=tmp_path),
+                  ds, ds, resume_from=tmp_path / FINAL_CHECKPOINT)
+
+    def test_resume_rejects_a_changed_config(self, tmp_path):
+        ds = toy_dataset(40, 4, 5, seed=5)
+        train(toy_config(epochs=1, out_dir=tmp_path), ds, ds)
+        with pytest.raises(ConfigError, match="l2_lambda"):
+            train(toy_config(epochs=2, l2_lambda=0.1, out_dir=tmp_path),
+                  ds, ds, resume_from=tmp_path / FINAL_CHECKPOINT)
 
     def test_reference_toy_run(self, tmp_path):
         config = toy_config(mode="reference", n_hidden=1, epochs=2,
@@ -335,8 +342,9 @@ class TestTrainLoop:
         assert len(ckpt.groups) == 2  # n_hidden + 1 layers
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_aborts_with_context(self):
-        config = toy_config(epochs=1, input_keep=1.0, hidden_keep=1.0)
+    def test_divergence_aborts_with_context(self, tmp_path):
+        config = toy_config(epochs=1, input_keep=1.0, hidden_keep=1.0,
+                            out_dir=tmp_path)
         count = 16
         images = np.full((count, config.input_dim), 1e38, np.float32)
         labels = (np.arange(count) % config.classes).astype(np.int64)
@@ -344,13 +352,14 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError, match="epoch 0"):
             train(config, bad, bad)
 
-    def test_learning_progress_on_separable_toy(self):
+    def test_learning_progress_on_separable_toy(self, tmp_path):
         # block-mean signal is linearly separable; even a short run should
         # beat chance by a wide margin
         config = toy_config(epochs=8, n_hidden=1, l2_lambda=0.0,
                             schedule=Schedule(base_lr=0.3, decay_every=4,
                                               alpha=0.9),
-                            input_keep=1.0, hidden_keep=1.0, classes=4)
+                            input_keep=1.0, hidden_keep=1.0, classes=4,
+                            out_dir=tmp_path)
         train_ds = toy_dataset(200, config.input_dim, config.classes, seed=9)
         test_ds = toy_dataset(80, config.input_dim, config.classes, seed=10)
         result = train(config, train_ds, test_ds)
