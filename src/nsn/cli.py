@@ -56,12 +56,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None,
                        help="flat key=value file; flags override it")
         p.add_argument("--n-hidden", type=int, default=2, help=n_hidden_help)
-        p.add_argument("--data-dir", type=Path, required=True,
+        # Required, but checked by cmd_train: a --config file may give
+        # them, and the first parse runs before the file is read.
+        p.add_argument("--data-dir", type=Path, default=None,
                        help="directory with the four uncompressed MNIST IDX "
-                            "files")
-        p.add_argument("--out-dir", type=Path, required=True,
+                            "files (required, here or in --config)")
+        p.add_argument("--out-dir", type=Path, default=None,
                        help="directory for metrics.csv, best.csv, and "
-                            "checkpoints")
+                            "checkpoints (required, here or in --config)")
         p.add_argument("--epochs", type=int, default=600,
                        help="training epochs (default 600)")
         p.add_argument("--batch", type=int, default=128,
@@ -146,6 +148,12 @@ def _parse_with_config_file(parser: argparse.ArgumentParser,
 
 def cmd_train(args: argparse.Namespace) -> int:
     mode, _, _, l2_defaults = TRAIN_COMMANDS[args.command]
+    missing = [flag for flag, value in (("--data-dir", args.data_dir),
+                                        ("--out-dir", args.out_dir))
+               if value is None]
+    if missing:
+        raise ConfigError(f"{', '.join(missing)} must be given on the "
+                          f"command line or in the --config file")
     l2 = args.l2
     if l2 is None:
         if args.n_hidden not in l2_defaults:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -28,19 +29,42 @@ TEST_LABELS = "t10k-labels-idx1-ubyte"
 
 @dataclass(frozen=True)
 class Dataset:
-    """Normalized images [count, 784] in [0, 1] plus labels [count] in 0..9."""
+    """Pixel rows [count, 784] plus labels [count] in 0..9.
 
-    images: np.ndarray
+    ``pixels`` is uint8 for data read from IDX files, held as the file's
+    own bytes, or float32 already in [0, 1] for data built in memory.
+    A uint8 row is scaled to float32 only when it is read, so a training
+    run never holds a float copy of its training set.
+    """
+
+    pixels: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        if self.images.shape[0] != self.labels.shape[0]:
+        if self.pixels.shape[0] != self.labels.shape[0]:
             raise ConfigError(f"images/labels counts differ: "
-                              f"{self.images.shape[0]} vs {self.labels.shape[0]}")
+                              f"{self.pixels.shape[0]} vs "
+                              f"{self.labels.shape[0]}")
 
     @property
     def count(self) -> int:
-        return self.images.shape[0]
+        return self.pixels.shape[0]
+
+    def rows(self, index) -> np.ndarray:
+        """The rows at ``index`` as float32 in [0, 1]."""
+        rows = self.pixels[index]
+        return normalize(rows) if rows.dtype == np.uint8 else rows
+
+    @cached_property
+    def images(self) -> np.ndarray:
+        """Every row as float32 in [0, 1], scaled on first access.
+
+        The scaled rows then stand in for ``pixels``, so that the bytes are
+        freed rather than held next to a float copy of the same rows.
+        """
+        images = self.rows(slice(None))
+        object.__setattr__(self, "pixels", images)
+        return images
 
 
 @dataclass(frozen=True)
@@ -59,6 +83,7 @@ class BatchPlan:
 def parse_idx_images(data: bytes) -> np.ndarray:
     """Parse an IDX image file into a uint8 tensor [count, 28, 28].
 
+    The tensor is a read-only view over ``data``, which it keeps alive.
     The header is four big-endian u32s: magic 2051, count, rows, cols.
     Raises FormatError on a wrong magic or unexpected geometry and
     LengthError when the payload is shorter than the header promises.
@@ -76,7 +101,7 @@ def parse_idx_images(data: bytes) -> np.ndarray:
         raise LengthError(f"image payload: expected {expected} bytes, "
                           f"got {len(data)}")
     pixels = np.frombuffer(data, dtype=np.uint8, offset=16)
-    return pixels.reshape(count, rows, cols).copy()
+    return pixels.reshape(count, rows, cols)
 
 
 def parse_idx_labels(data: bytes) -> np.ndarray:
@@ -98,9 +123,12 @@ def parse_idx_labels(data: bytes) -> np.ndarray:
 
 
 def normalize(raw: np.ndarray) -> np.ndarray:
-    """Scale uint8 pixels to float32 in [0, 1] and flatten to [count, 784]."""
+    """Scale uint8 pixels to float32 in [0, 1] and flatten to [count, 784].
+
+    One pass, casting each byte as it is divided: no float temporary.
+    """
     flat = raw.reshape(raw.shape[0], -1)
-    return flat.astype(np.float32) / np.float32(255.0)
+    return np.divide(flat, np.float32(255.0), dtype=np.float32)
 
 
 def load_dataset(images_path: Path, labels_path: Path) -> Dataset:
@@ -109,7 +137,12 @@ def load_dataset(images_path: Path, labels_path: Path) -> Dataset:
     if images.shape[0] != labels.shape[0]:
         raise LengthError(f"{images_path}: {images.shape[0]} images but "
                           f"{labels.shape[0]} labels")
-    return Dataset(images=normalize(images), labels=labels.astype(np.int64))
+    # An empty set can be neither trained on nor evaluated; say so here,
+    # not after a first epoch of training.
+    if images.shape[0] == 0:
+        raise LengthError(f"{images_path}: no images")
+    return Dataset(pixels=images.reshape(images.shape[0], PIXELS),
+                   labels=labels.astype(np.int64))
 
 
 def load_data_dir(data_dir: Path) -> tuple[Dataset, Dataset]:
@@ -145,4 +178,4 @@ def batches(dataset: Dataset, plan: BatchPlan,
     order = epoch_order(count, plan, epoch)
     for start in range(0, count, plan.batch_size):
         idx = order[start:start + plan.batch_size]
-        yield dataset.images[idx], dataset.labels[idx]
+        yield dataset.rows(idx), dataset.labels[idx]

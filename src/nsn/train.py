@@ -191,9 +191,10 @@ def evaluate(params: Sequence[DenseLayer], dataset: Dataset,
              eval_batch: int = EVAL_BATCH) -> float:
     """Fraction of samples whose argmax log-probability equals the label."""
     spec = spec_for_params(params)
+    images = dataset.images  # scaled once per dataset, not once per call
     correct = 0
     for start in range(0, dataset.count, eval_batch):
-        x = dataset.images[start:start + eval_batch]
+        x = images[start:start + eval_batch]
         labels = dataset.labels[start:start + eval_batch]
         logp, _ = model_forward(spec, params, x, "eval")
         correct += int(np.sum(np.argmax(logp, axis=1) == labels))
@@ -319,18 +320,16 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
 
     When resuming, the checkpoint's seeds replace the config's, every other
     field but the epochs and paths must match the checkpoint's config echo,
-    and its best epoch is carried on, so the run continues exactly as the
-    uninterrupted one, files included.
+    the epochs may not be fewer than the checkpoint's, and its best epoch
+    is carried on, so the run continues exactly as the uninterrupted one,
+    files included. Every check runs before a data or out-dir file is
+    opened.
     """
     if config.mode != mode:
         raise ConfigError(f"expected a config with mode={mode!r}, "
                           f"got {config.mode!r}")
     if config.out_dir is None:
         raise ConfigError("no out_dir configured")
-    if train_ds is None or test_ds is None:
-        if config.data_dir is None:
-            raise ConfigError("no datasets given and no data_dir configured")
-        train_ds, test_ds = load_data_dir(config.data_dir)
     n_models = config.n_hidden + 1 if mode == "nsn" else 1
     start_epoch, best_epoch, best_accs = 0, -1, [0.0] * n_models
     if resume_from is None:
@@ -338,6 +337,10 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
         momentum = [MomentumState.zeros_like(g.layer) for g in family.groups]
     else:
         ckpt = load_checkpoint(resume_from)
+        if config.epochs < ckpt.epoch:
+            raise ConfigError(f"{resume_from} is at epoch {ckpt.epoch}; "
+                              f"a run of {config.epochs} epochs cannot "
+                              f"resume from it")
         if ckpt.n != config.n_hidden:
             raise ConsistencyError(f"checkpoint n={ckpt.n} does not match "
                                    f"config n_hidden={config.n_hidden}")
@@ -357,6 +360,10 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
             raise ConfigError(f"{resume_from} was trained with other values "
                               f"of {', '.join(changed)}")
     models = family.views() if mode == "nsn" else [family.view(family.n)]
+    if train_ds is None or test_ds is None:
+        if config.data_dir is None:
+            raise ConfigError("no datasets given and no data_dir configured")
+        train_ds, test_ds = load_data_dir(config.data_dir)
     base_momentum = momentum[::-1]  # input layer first, like the base view
 
     out_dir = Path(config.out_dir)

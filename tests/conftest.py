@@ -51,7 +51,7 @@ def toy_dataset(count: int, input_dim: int, classes: int,
     images = rng.random((count, input_dim)) * 0.2
     for i, label in enumerate(labels):
         images[i, label % input_dim] += 0.8
-    return Dataset(images=images.astype(np.float32),
+    return Dataset(pixels=images.astype(np.float32),
                    labels=labels.astype(np.int64))
 
 

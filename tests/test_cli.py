@@ -185,6 +185,28 @@ class TestConfigFile:
         ckpt = load_checkpoint(out / "checkpoint_final.nsn")
         assert ckpt.n == 1  # n-hidden from file
 
+    def test_file_may_give_the_data_and_out_dirs(self, tmp_path):
+        data = write_idx_dir(tmp_path / "data", train_count=64,
+                             test_count=32)
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data-dir={data}\nout-dir={out}\nepochs=1\n"
+                       f"batch=32\nn-hidden=1\n")
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert load_checkpoint(out / "checkpoint_final.nsn").epoch == 1
+
+    @pytest.mark.parametrize("command", ["train", "train-ref"])
+    def test_dirs_given_nowhere_are_usage_errors(self, tmp_path, capsys,
+                                                  command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=1\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "--data-dir, --out-dir must be given" in err
+        assert main([command, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "error: --data-dir must be given" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REAL_DATA, idx_image_bytes, idx_label_bytes, requires_mnist
+from conftest import (REAL_DATA, idx_image_bytes, idx_label_bytes,
+                      requires_mnist, write_idx_dir)
 from nsn.errors import ConfigError, FormatError, LengthError
 from nsn import mnist
 
@@ -100,13 +101,13 @@ class TestNormalize:
 def dataset_of(count, pixels=4, seed=0):
     rng = np.random.default_rng(seed)
     return mnist.Dataset(
-        images=rng.random((count, pixels)).astype(np.float32),
+        pixels=rng.random((count, pixels)).astype(np.float32),
         labels=rng.integers(0, 10, size=count).astype(np.int64))
 
 
 class TestBatches:
     def test_full_scale_partition(self):
-        ds = mnist.Dataset(images=np.zeros((60000, 1), np.float32),
+        ds = mnist.Dataset(pixels=np.zeros((60000, 1), np.float32),
                            labels=np.zeros(60000, np.int64))
         sizes = [b.shape[0] for b, _ in
                  mnist.batches(ds, mnist.BatchPlan(batch_size=128), epoch=0)]
@@ -158,6 +159,45 @@ class TestBatches:
         ds = dataset_of(3)
         with pytest.raises(ConfigError):
             list(mnist.batches(ds, mnist.BatchPlan(batch_size=4), 0))
+
+
+class TestByteBackedDataset:
+    def test_loader_holds_the_idx_bytes(self, synth_data_dir):
+        train, test = mnist.load_data_dir(synth_data_dir)
+        for ds in (train, test):
+            assert ds.pixels.dtype == np.uint8
+            assert ds.pixels.nbytes == ds.count * mnist.PIXELS
+
+    def test_an_empty_image_file_is_rejected_at_load(self, tmp_path):
+        data = write_idx_dir(tmp_path, train_count=8, test_count=0)
+        with pytest.raises(LengthError, match="no images"):
+            mnist.load_data_dir(data)
+
+    def test_batches_equal_those_of_rows_scaled_up_front(self,
+                                                         synth_data_dir):
+        train, _ = mnist.load_data_dir(synth_data_dir)
+        scaled = mnist.Dataset(
+            pixels=train.pixels.astype(np.float32) / np.float32(255.0),
+            labels=train.labels)
+        plan = mnist.BatchPlan(batch_size=20, seed=4)
+        got = list(mnist.batches(train, plan, epoch=3))
+        want = list(mnist.batches(scaled, plan, epoch=3))
+        assert len(got) == len(want) == 5
+        for (x, labels), (x_want, labels_want) in zip(got, want):
+            assert x.dtype == np.float32
+            assert x.tobytes() == x_want.tobytes()
+            np.testing.assert_array_equal(labels, labels_want)
+        assert "images" not in train.__dict__
+
+    def test_images_are_every_row_scaled_once(self, synth_data_dir):
+        train, _ = mnist.load_data_dir(synth_data_dir)
+        order = np.arange(train.count)[::-1]
+        scaled_rows = train.rows(order)
+        images = train.images
+        assert images is train.images
+        assert train.pixels is images  # the bytes are let go
+        assert train.rows(order).tobytes() == scaled_rows.tobytes()
+        assert images[order].tobytes() == scaled_rows.tobytes()
 
 
 @requires_mnist

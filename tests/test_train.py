@@ -7,7 +7,7 @@ from conftest import toy_dataset
 from nsn.checkpoint import load_checkpoint
 from nsn.errors import ConfigError, ConsistencyError, DivergenceError
 from nsn.family import build_family
-from nsn.mnist import Dataset
+from nsn.mnist import Dataset, load_data_dir
 from nsn.nn import DenseLayer
 from nsn.optim import MomentumState, Schedule
 from nsn.train import (BEST_CHECKPOINT, BEST_FILE, FINAL_CHECKPOINT,
@@ -194,7 +194,7 @@ class TestEvaluate:
         labels = np.arange(100) % 10
         images = np.zeros((100, 10), np.float32)
         images[np.arange(100), labels] = 1.0
-        ds = Dataset(images=images, labels=labels.astype(np.int64))
+        ds = Dataset(pixels=images, labels=labels.astype(np.int64))
         assert evaluate(layers, ds) == 1.0
 
     def test_random_model_near_chance(self):
@@ -203,7 +203,7 @@ class TestEvaluate:
                               init_seed=24)
         labels = np.arange(5000) % 10  # balanced
         images = rng.random((5000, 8)).astype(np.float32)
-        ds = Dataset(images=images, labels=labels.astype(np.int64))
+        ds = Dataset(pixels=images, labels=labels.astype(np.int64))
         acc = evaluate(family.view(1), ds)
         assert abs(acc - 0.1) < 0.03
 
@@ -330,6 +330,21 @@ class TestTrainLoop:
             train(toy_config(epochs=2, l2_lambda=0.1, out_dir=tmp_path),
                   ds, ds, resume_from=tmp_path / FINAL_CHECKPOINT)
 
+    def test_resume_rejects_fewer_epochs_than_the_checkpoint(self,
+                                                             tmp_path):
+        ds = toy_dataset(40, 4, 5, seed=5)
+        train(toy_config(epochs=3, out_dir=tmp_path), ds, ds)
+        names = (FINAL_CHECKPOINT, METRICS_FILE, BEST_FILE)
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+        # No data is given and data_dir does not exist: the check must
+        # come before the data is loaded, as well as before any write.
+        with pytest.raises(ConfigError, match="epoch 3; a run of 2 epochs"):
+            train(toy_config(epochs=2, out_dir=tmp_path,
+                             data_dir=tmp_path / "absent"),
+                  resume_from=tmp_path / FINAL_CHECKPOINT)
+        assert {name: (tmp_path / name).read_bytes()
+                for name in names} == before
+
     def test_reference_toy_run(self, tmp_path):
         config = toy_config(mode="reference", n_hidden=1, epochs=2,
                             out_dir=tmp_path)
@@ -348,7 +363,7 @@ class TestTrainLoop:
         count = 16
         images = np.full((count, config.input_dim), 1e38, np.float32)
         labels = (np.arange(count) % config.classes).astype(np.int64)
-        bad = Dataset(images=images, labels=labels)
+        bad = Dataset(pixels=images, labels=labels)
         with pytest.raises(DivergenceError, match="epoch 0"):
             train(config, bad, bad)
 
@@ -388,3 +403,25 @@ class TestConfigValidation:
             train(toy_config(mode="reference", n_hidden=1), ds, ds)
         with pytest.raises(ConfigError):
             train_reference(toy_config(mode="nsn"), ds, ds)
+
+
+class TestByteBackedData:
+    def test_training_never_scales_the_training_set_whole(
+            self, synth_data_dir, tmp_path):
+        train_ds, test_ds = load_data_dir(synth_data_dir)
+        config = toy_config(n_hidden=1, epochs=1, batch_size=32,
+                            input_dim=784, classes=10, out_dir=tmp_path)
+        train(config, train_ds, test_ds)
+        assert "images" not in train_ds.__dict__
+        assert train_ds.pixels.dtype == np.uint8
+
+    def test_evaluate_is_the_same_on_bytes_and_scaled_rows(
+            self, synth_data_dir):
+        _, test_ds = load_data_dir(synth_data_dir)
+        scaled = Dataset(
+            pixels=test_ds.pixels.astype(np.float32) / np.float32(255.0),
+            labels=test_ds.labels)
+        family = build_family(2, input_dim=784, classes=10, init_seed=3)
+        for view in family.views():
+            assert evaluate(view, test_ds, eval_batch=24) == evaluate(
+                view, scaled, eval_batch=24)
