@@ -158,7 +158,10 @@ def load_checkpoint(path: Path) -> Checkpoint:
     if version >= 2:
         best_epoch = r.i32()
         best_accs = r.f64s(r.u32())
-    echo = r.take(r.u32()).decode("utf-8")
+    try:
+        echo = r.take(r.u32()).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"config echo is not UTF-8: {exc}") from None
     if r.pos != len(r.data):
         raise LengthError(f"checkpoint has {len(r.data) - r.pos} "
                           f"trailing bytes")

@@ -183,13 +183,19 @@ def _load_test_set(data_dir: Path):
                         Path(data_dir) / TEST_LABELS)
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
+def _load_trained(path: Path):
+    """(family, the indices of the views its run trained) from a checkpoint.
+
+    The last views are the models the run trained: all of a family's, a
+    baseline's base view. A version 1 file does not say; [-0:] is all.
+    """
+    ckpt = load_checkpoint(path)
     family, _ = family_from_checkpoint(ckpt)
-    # The last views are the models the run trained: all of a family's, a
-    # baseline's base view. A version 1 file does not say; [-0:] is all.
-    trained = range(family.n + 1)[-len(ckpt.best_accuracies):]
-    del ckpt  # the family holds copies of its arrays
+    return family, range(family.n + 1)[-len(ckpt.best_accuracies):]
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    family, trained = _load_trained(args.checkpoint)
     test_ds = _load_test_set(args.data_dir)
     for m in trained:
         acc = evaluate(family.view(m), test_ds)
@@ -199,9 +205,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_detach_eval(args: argparse.Namespace) -> int:
-    family, _ = family_from_checkpoint(load_checkpoint(args.checkpoint))
+    family, trained = _load_trained(args.checkpoint)
     k = args.drop_layers
     view = detach(family, k)  # IndexError (exit 2) when k is out of range
+    if family.n - k not in trained:
+        raise ConfigError(f"dropping {k} layers leaves model "
+                          f"m{family.n - k}, which {args.checkpoint} "
+                          f"did not train")
     test_ds = _load_test_set(args.data_dir)
     acc = evaluate(view, test_ds)
     print(f"dropped {k} layers -> model m{family.n - k}: "

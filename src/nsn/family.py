@@ -128,7 +128,9 @@ def paired_average_gradients(per_model_grads: list,
 
     Group g < n averages model g's input-layer gradient with model g+1's
     second-layer gradient; group n (the base model's input layer) passes
-    through unaveraged. Returns gradients indexed by group id.
+    through unaveraged. The averages are formed in place, in each model's
+    input-layer gradient, which is what is returned for its group, so the
+    pass allocates nothing. Returns gradients indexed by group id.
     """
     if n is None:
         n = len(per_model_grads) - 1
@@ -142,8 +144,8 @@ def paired_average_gradients(per_model_grads: list,
     out: list[LayerGrads] = []
     for g in range(n + 1):
         own = per_model_grads[g][0]
+        out.append(own)
         if g == n:
-            out.append(LayerGrads(own.d_weight.copy(), own.d_bias.copy()))
             continue
         pair = per_model_grads[g + 1][1]
         if own.d_weight.shape != pair.d_weight.shape:
@@ -151,8 +153,10 @@ def paired_average_gradients(per_model_grads: list,
                 f"group {g}: paired gradient shapes differ: "
                 f"{own.d_weight.shape} vs {pair.d_weight.shape}")
         half = own.d_weight.dtype.type(0.5)
-        out.append(LayerGrads(half * (own.d_weight + pair.d_weight),
-                              half * (own.d_bias + pair.d_bias)))
+        for mine, theirs in ((own.d_weight, pair.d_weight),
+                             (own.d_bias, pair.d_bias)):
+            mine += theirs
+            mine *= half
     return out
 
 

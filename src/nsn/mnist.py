@@ -50,10 +50,12 @@ class Dataset:
     def count(self) -> int:
         return self.pixels.shape[0]
 
-    def rows(self, index) -> np.ndarray:
-        """The rows at ``index`` as float32 in [0, 1]."""
+    def rows(self, index, out: np.ndarray | None = None) -> np.ndarray:
+        """The rows at ``index`` as float32 in [0, 1]. Byte rows are scaled
+        into ``out`` when it is given; float rows are returned as they are
+        (a view, for a slice)."""
         rows = self.pixels[index]
-        return normalize(rows) if rows.dtype == np.uint8 else rows
+        return normalize(rows, out) if rows.dtype == np.uint8 else rows
 
     @cached_property
     def images(self) -> np.ndarray:
@@ -118,17 +120,18 @@ def parse_idx_labels(data: bytes) -> np.ndarray:
     labels = np.frombuffer(data, dtype=np.uint8, offset=8).copy()
     if labels.size and labels.max() > 9:
         bad = int(labels.max())
-        raise ValueError(f"label byte out of range [0, 9]: {bad}")
+        raise FormatError(f"label byte out of range [0, 9]: {bad}")
     return labels
 
 
-def normalize(raw: np.ndarray) -> np.ndarray:
-    """Scale uint8 pixels to float32 in [0, 1] and flatten to [count, 784].
+def normalize(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Scale uint8 pixels to float32 in [0, 1] and flatten to [count, 784],
+    written into ``out`` when given.
 
     One pass, casting each byte as it is divided: no float temporary.
     """
     flat = raw.reshape(raw.shape[0], -1)
-    return np.divide(flat, np.float32(255.0), dtype=np.float32)
+    return np.divide(flat, np.float32(255.0), out=out, dtype=np.float32)
 
 
 def load_dataset(images_path: Path, labels_path: Path) -> Dataset:

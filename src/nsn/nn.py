@@ -8,6 +8,12 @@ its dimensions and dropout keep probabilities. The composition is fixed:
 Dropout is inverted (masks carry 1/keep_p at train time) so eval mode is the
 identity. All functions preserve the dtype of their inputs: training runs in
 float32, the finite-difference oracle pushes float64 through the same code.
+
+The passes take output arrays, numpy-style: given a :class:`ModelBuffers`
+as ``out``, a forward and backward write only into its arrays, so a training
+run allocates them once; given none, they allocate a fresh set. Either way
+the same float operations run in the same order, so results are bitwise
+equal.
 """
 
 from __future__ import annotations
@@ -101,45 +107,103 @@ class ForwardCache:
 
     mode: str
     inputs: list = field(default_factory=list)       # dense input per layer
-    pre_acts: list = field(default_factory=list)     # z per layer
+    # z per layer; a hidden layer's holds relu(z), whose sign is all the
+    # backward pass reads
+    pre_acts: list = field(default_factory=list)
     input_mask: np.ndarray | None = None
     hidden_masks: list = field(default_factory=list)  # None where unmasked
     logp: np.ndarray | None = None
 
 
-def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
-    """x @ W.T + b, bias broadcast over rows."""
+class ModelBuffers:
+    """Every array one model's forward and backward passes write, for
+    batches of up to ``rows`` rows; a smaller batch uses their leading rows.
+
+    Eval mode holds the pre-activations and log-probabilities. Train mode
+    adds the dropout masks (float32) and the masked layer inputs wherever
+    the spec's keep probability is below 1, the backward pass's error per
+    layer and the gradient set. ``draw`` is a flat float64 array the masks'
+    uniform draws go to; models that never run at once may share one.
+    """
+
+    def __init__(self, spec: ModelSpec, rows: int, mode: str = "train",
+                 dtype=np.float32, draw: np.ndarray | None = None):
+        if mode not in ("train", "eval"):
+            raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
+        dims = spec.dims
+        train = mode == "train"
+        self.spec, self.rows, self.mode = spec, rows, mode
+        self.pre_acts = [np.empty((rows, d), dtype) for d in dims[1:]]
+        self.logp = np.empty((rows, dims[-1]), dtype)
+        in_keep = spec.input_keep if train else 1.0
+        hidden_keep = spec.hidden_keep if train else 1.0
+        # mask and masked input per dense layer; None where unmasked
+        keeps = [in_keep] + [hidden_keep] * (spec.n_layers - 1)
+        self.masks = [np.empty((rows, d), np.float32) if keep < 1.0 else None
+                      for d, keep in zip(dims, keeps)]
+        self.inputs = [np.empty((rows, d), dtype) if keep < 1.0 else None
+                       for d, keep in zip(dims, keeps)]
+        if draw is None and min(keeps) < 1.0:
+            draw = np.empty(rows * max(dims[:-1]))
+        self.draw = draw
+        self.d_pre = ([np.empty((rows, d), dtype) for d in dims[1:]]
+                      if train else [])
+        self.grads: GradientSet = (
+            [LayerGrads(np.empty((o, i), dtype), np.empty(o, dtype))
+             for i, o in zip(dims, dims[1:])] if train else [])
+
+    def draw_for(self, shape: tuple[int, int]) -> np.ndarray:
+        rows, cols = shape
+        return self.draw[:rows * cols].reshape(shape)
+
+
+def dense_forward(x: np.ndarray, layer: DenseLayer,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """x @ W.T + b, bias broadcast over rows, written into ``out`` when
+    given."""
     if x.ndim != 2 or x.shape[1] != layer.in_dim:
         raise ShapeError(f"dense_forward: input {x.shape} does not match "
                          f"weight {layer.weight.shape}")
-    return x @ layer.weight.T + layer.bias
+    z = np.matmul(x, layer.weight.T, out=out)
+    z += layer.bias
+    return z
 
 
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0)
+def relu(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(z, 0, out=out)
 
 
-def relu_backward(d_out: np.ndarray, z: np.ndarray) -> np.ndarray:
+def relu_backward(d_out: np.ndarray, z: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Pass d_out where z > 0; the subgradient at exactly 0 is 0."""
     if d_out.shape != z.shape:
         raise ShapeError(f"relu_backward: shapes differ: {d_out.shape} "
                          f"vs {z.shape}")
-    return d_out * (z > 0)
+    return np.multiply(d_out, z > 0, out=out)
 
 
 def dropout_mask(shape: tuple[int, ...], keep_p: float,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask: 1/keep_p with probability keep_p, else 0."""
+                 rng: np.random.Generator, out: np.ndarray | None = None,
+                 draw: np.ndarray | None = None) -> np.ndarray:
+    """Inverted-dropout mask: 1/keep_p with probability keep_p, else 0.
+
+    The mask is float32, written into ``out`` when given; the float64
+    uniform draws it thresholds go to ``draw`` when given.
+    """
     if not 0.0 < keep_p <= 1.0:
         raise ConfigError(f"keep_p must be in (0, 1], got {keep_p}")
-    kept = rng.random(shape) < keep_p
-    return kept.astype(np.float32) / np.float32(keep_p)
+    if out is None:
+        out = np.empty(shape, np.float32)
+    np.less(rng.random(shape, out=draw), keep_p, out=out)
+    out /= np.float32(keep_p)
+    return out
 
 
-def log_softmax(z: np.ndarray) -> np.ndarray:
+def log_softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise log-softmax, stabilized by subtracting the row max."""
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = np.subtract(z, z.max(axis=1, keepdims=True), out=out)
+    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted
 
 
 def nll_loss(logp: np.ndarray, labels: np.ndarray) -> float:
@@ -164,15 +228,28 @@ def _check_params(spec: ModelSpec, params: Sequence[DenseLayer]) -> None:
                                    f"spec expects {expect}")
 
 
+def _check_buffers(spec: ModelSpec, out: ModelBuffers, rows: int,
+                   mode: str) -> None:
+    if out.spec != spec:
+        raise ConsistencyError(f"buffers are for {out.spec}, not {spec}")
+    if rows > out.rows:
+        raise ShapeError(f"{rows} rows do not fit buffers of {out.rows}")
+    if mode == "train" and out.mode != "train":
+        raise ConsistencyError("a train-mode pass needs train-mode buffers")
+
+
 def model_forward(spec: ModelSpec, params: Sequence[DenseLayer],
                   x: np.ndarray, mode: str = "eval",
                   rng: np.random.Generator | None = None,
+                  out: ModelBuffers | None = None,
                   ) -> tuple[np.ndarray, ForwardCache]:
     """Run the full network; returns (log-probabilities, cache).
 
     In train mode, dropout masks are drawn from ``rng`` wherever the spec's
     keep probability is below 1 (so train mode with all keeps at 1 is
-    bitwise identical to eval mode, and needs no rng).
+    bitwise identical to eval mode, and needs no rng). Every array the pass
+    computes, the returned ones included, lies in ``out`` when it is given,
+    and in a fresh :class:`ModelBuffers` otherwise.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -183,42 +260,49 @@ def model_forward(spec: ModelSpec, params: Sequence[DenseLayer],
     train = mode == "train"
     if train and spec.uses_dropout and rng is None:
         raise ConfigError("train-mode forward with dropout requires an rng")
+    rows = x.shape[0]
+    if out is None:
+        out = ModelBuffers(spec, rows, mode, np.result_type(
+            x, *(layer.weight for layer in params)))
+    _check_buffers(spec, out, rows, mode)
 
     cache = ForwardCache(mode=mode)
     h = x
     if train and spec.input_keep < 1.0:
-        cache.input_mask = dropout_mask(h.shape, spec.input_keep, rng)
-        h = h * cache.input_mask
-    for layer in params[:-1]:
+        cache.input_mask = dropout_mask(h.shape, spec.input_keep, rng,
+                                        out=out.masks[0][:rows],
+                                        draw=out.draw_for(h.shape))
+        h = np.multiply(h, cache.input_mask, out=out.inputs[0][:rows])
+    for i, layer in enumerate(params[:-1]):
         cache.inputs.append(h)
-        z = dense_forward(h, layer)
-        cache.pre_acts.append(z)
-        a = relu(z)
+        z = dense_forward(h, layer, out=out.pre_acts[i][:rows])
+        a = relu(z, out=z)
+        cache.pre_acts.append(a)
         if train and spec.hidden_keep < 1.0:
-            mask = dropout_mask(a.shape, spec.hidden_keep, rng)
-            a = a * mask
+            mask = dropout_mask(a.shape, spec.hidden_keep, rng,
+                                out=out.masks[i + 1][:rows],
+                                draw=out.draw_for(a.shape))
+            a = np.multiply(a, mask, out=out.inputs[i + 1][:rows])
         else:
             mask = None
         cache.hidden_masks.append(mask)
         h = a
     cache.inputs.append(h)
-    z = dense_forward(h, params[-1])
+    z = dense_forward(h, params[-1], out=out.pre_acts[-1][:rows])
     cache.pre_acts.append(z)
-    cache.logp = log_softmax(z)
+    cache.logp = log_softmax(z, out=out.logp[:rows])
     return cache.logp, cache
 
 
-def _one_hot(labels: np.ndarray, classes: int, dtype) -> np.ndarray:
-    out = np.zeros((labels.shape[0], classes), dtype=dtype)
-    out[np.arange(labels.shape[0]), labels] = 1
-    return out
-
-
 def model_backward(spec: ModelSpec, params: Sequence[DenseLayer],
-                   cache: ForwardCache, labels: np.ndarray) -> GradientSet:
+                   cache: ForwardCache, labels: np.ndarray,
+                   out: ModelBuffers | None = None) -> GradientSet:
     """Exact gradients of the mean NLL w.r.t. every weight and bias.
 
     The output-layer pre-activation gradient is (softmax(z) - onehot) / b.
+    The gradients, and the error of each layer on the way down, are written
+    into ``out``'s arrays when it is given (train-mode buffers), and into a
+    fresh set otherwise; the gradient set returned is ``out.grads``.
     """
     _check_params(spec, params)
     if cache.mode != "train":
@@ -233,17 +317,21 @@ def model_backward(spec: ModelSpec, params: Sequence[DenseLayer],
                                    f"match layer in_dim {layer.in_dim}")
     labels = np.asarray(labels)
     batch = cache.logp.shape[0]
-    dz = (np.exp(cache.logp)
-          - _one_hot(labels, cache.logp.shape[1], cache.logp.dtype)) / batch
-    grads: GradientSet = [None] * len(params)
+    if out is None:
+        out = ModelBuffers(spec, batch, "train", cache.logp.dtype)
+    _check_buffers(spec, out, batch, "train")
+    dz = np.exp(cache.logp, out=out.d_pre[-1][:batch])
+    dz[np.arange(batch), labels] -= 1  # minus the one-hot labels
+    dz /= batch
+    grads = out.grads
     for i in reversed(range(len(params))):
-        grads[i] = LayerGrads(d_weight=dz.T @ cache.inputs[i],
-                              d_bias=dz.sum(axis=0))
+        np.matmul(dz.T, cache.inputs[i], out=grads[i].d_weight)
+        dz.sum(axis=0, out=grads[i].d_bias)
         if i > 0:
-            da = dz @ params[i].weight
+            da = np.matmul(dz, params[i].weight, out=out.d_pre[i - 1][:batch])
             if cache.hidden_masks[i - 1] is not None:
-                da = da * cache.hidden_masks[i - 1]
-            dz = relu_backward(da, cache.pre_acts[i - 1])
+                da *= cache.hidden_masks[i - 1]
+            dz = relu_backward(da, cache.pre_acts[i - 1], out=da)
     return grads
 
 

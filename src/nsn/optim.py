@@ -56,30 +56,60 @@ def _check_match(v: np.ndarray, g: np.ndarray, op: str) -> None:
                          f"G shape {g.shape}")
 
 
-def momentum_standard(v: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
-    """V' = alpha*V + G."""
+def momentum_standard(v: np.ndarray, g: np.ndarray, alpha: float,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """V' = alpha*V + G.
+
+    With ``out`` (which may be ``v``), V' is computed in place there by the
+    same float operations, and nothing is allocated.
+    """
     _check_match(v, g, "momentum_standard")
-    return alpha * v + g
+    if out is None:
+        return alpha * v + g
+    np.multiply(alpha, v, out=out)
+    return np.add(out, g, out=out)
 
 
-def momentum_nsn(v: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
-    """V' = alpha*V + (1-alpha)*G."""
+def momentum_nsn(v: np.ndarray, g: np.ndarray, alpha: float,
+                 out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
+    """V' = alpha*V + (1-alpha)*G.
+
+    With ``out`` (which may be ``v`` or ``g``), V' is computed in place
+    there by the same float operations; the (1-alpha)*G term goes to
+    ``scratch``, an array of G's shape, allocated when not given.
+    """
     _check_match(v, g, "momentum_nsn")
-    return alpha * v + (1.0 - alpha) * g
+    if out is None:
+        return alpha * v + (1.0 - alpha) * g
+    term = np.multiply(1.0 - alpha, g, out=scratch)
+    np.multiply(alpha, v, out=out)
+    return np.add(out, term, out=out)
 
 
-def apply_update(w: np.ndarray, v: np.ndarray, lr: float) -> np.ndarray:
-    """W' = W - lr*V."""
+def apply_update(w: np.ndarray, v: np.ndarray, lr: float,
+                 out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
+    """W' = W - lr*V.
+
+    With ``out`` (which may be ``w``), W' is computed in place there by the
+    same float operations; the lr*V term goes to ``scratch``, an array of
+    V's shape, allocated when not given.
+    """
     _check_match(w, v, "apply_update")
-    return w - lr * v
+    if out is None:
+        return w - lr * v
+    step = np.multiply(lr, v, out=scratch)
+    return np.subtract(w, step, out=out)
 
 
-def l2_gradient(lam: float, w: np.ndarray) -> np.ndarray:
+def l2_gradient(lam: float, w: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of (lam/2)*||W||^2; added to weight gradients only, never
-    biases."""
+    biases. Written into ``out`` when given."""
     if lam < 0:
         raise ConfigError(f"l2 lambda must be >= 0, got {lam}")
-    return lam * w
+    return np.multiply(lam, w, out=out)
 
 
 def lr_at(schedule: Schedule, epoch: int) -> float:

@@ -14,6 +14,11 @@ init, resume, loop and checkpoint path.
 Randomness is split by purpose and keyed by position: shuffling by
 (seed, epoch), dropout by (seed, epoch, step, model). Resuming from a
 checkpoint therefore reproduces the uninterrupted run bit for bit.
+
+A run allocates every array its steps write once, in a
+:class:`StepWorkspace`, and updates momentum and parameters in place, so a
+step allocates nothing large; evaluation scales one batch of test rows at a
+time into one reused array.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from .errors import ConfigError, ConsistencyError, DivergenceError
 from .family import (ModelFamily, CanonicalGroup, build_family, copy_up,
                      init_layer, paired_average_gradients)
 from .mnist import BatchPlan, Dataset, batches, load_data_dir
-from .nn import (DenseLayer, ModelSpec, model_backward, model_forward,
-                 nll_loss, spec_for_params)
+from .nn import (DenseLayer, ModelBuffers, ModelSpec, model_backward,
+                 model_forward, nll_loss, spec_for_params)
 from .optim import (MomentumState, Schedule, apply_update, l2_gradient, lr_at,
                     momentum_nsn, momentum_standard)
 
@@ -123,81 +128,133 @@ def _dropout_rng(config: TrainConfig, epoch: int, step: int,
     return np.random.default_rng([config.dropout_seed, epoch, step, model])
 
 
+class StepWorkspace:
+    """Every array a training step writes, allocated once for a run.
+
+    One train-mode :class:`ModelBuffers` per trained model, in the order of
+    ``specs``, for batches of up to ``rows`` rows (a shorter last batch uses
+    their leading rows); the float64 mask draws they share; and one scratch
+    array as large as the largest weight, for the optimizer's temporaries.
+    """
+
+    def __init__(self, specs: Sequence[ModelSpec], rows: int):
+        draw = np.empty(rows * max(max(spec.dims[:-1]) for spec in specs))
+        self.models = [ModelBuffers(spec, rows, "train", draw=draw)
+                       for spec in specs]
+        self.scratch = np.empty(max(o * i for spec in specs
+                                    for i, o in zip(spec.dims, spec.dims[1:])),
+                                np.float32)
+
+    def scratch_like(self, a: np.ndarray) -> np.ndarray:
+        return self.scratch[:a.size].reshape(a.shape)
+
+
 def train_step(family: ModelFamily, momentum: Sequence[MomentumState],
                batch: tuple[np.ndarray, np.ndarray], config: TrainConfig,
-               epoch: int, step: int = 0) -> list[float]:
-    """One family minibatch update; returns each model's pre-update loss."""
+               epoch: int, step: int = 0,
+               workspace: StepWorkspace | None = None) -> list[float]:
+    """One family minibatch update; returns each model's pre-update loss.
+
+    ``workspace`` holds buffers for models 0..n; a fresh one is built when
+    none is given.
+    """
     copy_up(family)
     x, labels = batch
+    specs = [config.model_spec(m) for m in range(family.n + 1)]
+    if workspace is None:
+        workspace = StepWorkspace(specs, x.shape[0])
     losses: list[float] = []
     grad_sets = []
-    for m in range(family.n + 1):
-        spec = config.model_spec(m)
+    for m, (spec, buffers) in enumerate(zip(specs, workspace.models,
+                                            strict=True)):
         rng = (_dropout_rng(config, epoch, step, m)
                if spec.uses_dropout else None)
         view = family.view(m)
-        logp, cache = model_forward(spec, view, x, "train", rng)
+        logp, cache = model_forward(spec, view, x, "train", rng, out=buffers)
         loss = nll_loss(logp, labels)
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch} "
                                   f"step {step} (model {m})")
         losses.append(loss)
-        grad_sets.append(model_backward(spec, view, cache, labels))
+        grad_sets.append(model_backward(spec, view, cache, labels,
+                                        out=buffers))
     if config.l2_lambda > 0:
         for grads, layer in zip(grad_sets[-1], family.view(family.n)):
-            grads.d_weight = grads.d_weight + l2_gradient(config.l2_lambda,
-                                                          layer.weight)
+            grads.d_weight += l2_gradient(
+                config.l2_lambda, layer.weight,
+                out=workspace.scratch_like(layer.weight))
     group_grads = paired_average_gradients(grad_sets, family.n)
     lr = lr_at(config.schedule, epoch)
     alpha = config.schedule.alpha
     for grads, state, group in zip(group_grads, momentum, family.groups):
-        state.v_weight = momentum_nsn(state.v_weight, grads.d_weight, alpha)
-        state.v_bias = momentum_nsn(state.v_bias, grads.d_bias, alpha)
-        group.layer.weight = apply_update(group.layer.weight,
-                                          state.v_weight, lr)
-        group.layer.bias = apply_update(group.layer.bias, state.v_bias, lr)
+        layer = group.layer
+        for v, g in ((state.v_weight, grads.d_weight),
+                     (state.v_bias, grads.d_bias)):
+            momentum_nsn(v, g, alpha, out=v,
+                         scratch=workspace.scratch_like(v))
+        for p, v in ((layer.weight, state.v_weight),
+                     (layer.bias, state.v_bias)):
+            apply_update(p, v, lr, out=p, scratch=workspace.scratch_like(v))
     return losses
 
 
 def reference_step(layers: list[DenseLayer],
                    momentum: Sequence[MomentumState],
                    batch: tuple[np.ndarray, np.ndarray], config: TrainConfig,
-                   epoch: int, step: int = 0) -> list[float]:
+                   epoch: int, step: int = 0,
+                   workspace: StepWorkspace | None = None) -> list[float]:
     """One regularly-trained minibatch update (standard momentum, L2 on
-    every weight layer)."""
+    every weight layer). ``workspace`` holds buffers for this one model; a
+    fresh one is built when none is given."""
     x, labels = batch
     spec = config.model_spec(config.n_hidden)
+    if workspace is None:
+        workspace = StepWorkspace([spec], x.shape[0])
+    buffers, = workspace.models
     rng = (_dropout_rng(config, epoch, step, 0)
            if spec.uses_dropout else None)
-    logp, cache = model_forward(spec, layers, x, "train", rng)
+    logp, cache = model_forward(spec, layers, x, "train", rng, out=buffers)
     loss = nll_loss(logp, labels)
     if not np.isfinite(loss):
         raise DivergenceError(f"non-finite loss at epoch {epoch} step {step}")
-    grads = model_backward(spec, layers, cache, labels)
+    grads = model_backward(spec, layers, cache, labels, out=buffers)
     lr = lr_at(config.schedule, epoch)
     alpha = config.schedule.alpha
     for g, state, layer in zip(grads, momentum, layers):
-        d_weight = g.d_weight
         if config.l2_lambda > 0:
-            d_weight = d_weight + l2_gradient(config.l2_lambda, layer.weight)
-        state.v_weight = momentum_standard(state.v_weight, d_weight, alpha)
-        state.v_bias = momentum_standard(state.v_bias, g.d_bias, alpha)
-        layer.weight = apply_update(layer.weight, state.v_weight, lr)
-        layer.bias = apply_update(layer.bias, state.v_bias, lr)
+            g.d_weight += l2_gradient(
+                config.l2_lambda, layer.weight,
+                out=workspace.scratch_like(layer.weight))
+        momentum_standard(state.v_weight, g.d_weight, alpha,
+                          out=state.v_weight)
+        momentum_standard(state.v_bias, g.d_bias, alpha, out=state.v_bias)
+        for p, v in ((layer.weight, state.v_weight),
+                     (layer.bias, state.v_bias)):
+            apply_update(p, v, lr, out=p, scratch=workspace.scratch_like(v))
     return [loss]
 
 
 def evaluate(params: Sequence[DenseLayer], dataset: Dataset,
              eval_batch: int = EVAL_BATCH) -> float:
-    """Fraction of samples whose argmax log-probability equals the label."""
+    """Fraction of samples whose argmax log-probability equals the label.
+
+    Byte rows are scaled one batch at a time into one reused array, and the
+    forward pass writes into buffers made once per call, so no float copy
+    of the whole set is ever made.
+    """
     spec = spec_for_params(params)
-    images = dataset.images  # scaled once per dataset, not once per call
+    rows = min(eval_batch, dataset.count)
+    dtype = np.result_type(np.float32, dataset.pixels,
+                           *(layer.weight for layer in params))
+    buffers = ModelBuffers(spec, rows, "eval", dtype)
+    scaled = np.empty((rows, dataset.pixels.shape[1]), np.float32)
     correct = 0
     for start in range(0, dataset.count, eval_batch):
-        x = images[start:start + eval_batch]
-        labels = dataset.labels[start:start + eval_batch]
-        logp, _ = model_forward(spec, params, x, "eval")
-        correct += int(np.sum(np.argmax(logp, axis=1) == labels))
+        stop = min(start + eval_batch, dataset.count)
+        x = dataset.rows(slice(start, stop), out=scaled[:stop - start])
+        logp, _ = model_forward(spec, params, x, "eval", out=buffers)
+        correct += int(np.sum(np.argmax(logp, axis=1)
+                              == dataset.labels[start:stop]))
     return correct / dataset.count
 
 
@@ -372,6 +429,9 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
                      seed=config.shuffle_seed)
     writer = _MetricsWriter(out_dir, n_models, start_epoch)
     history: list[MetricsRecord] = []
+    workspace = StepWorkspace([config.model_spec(m)
+                               for m in range(config.n_hidden + 1)]
+                              [-n_models:], config.batch_size)
 
     def checkpoint_at(epoch_done: int, name: str) -> Path:
         path = out_dir / name
@@ -393,10 +453,10 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
             for step, batch in enumerate(batches(train_ds, plan, epoch)):
                 if mode == "nsn":
                     losses = train_step(family, momentum, batch, config,
-                                        epoch, step)
+                                        epoch, step, workspace)
                 else:
                     losses = reference_step(models[0], base_momentum, batch,
-                                            config, epoch, step)
+                                            config, epoch, step, workspace)
                 loss_sums += np.asarray(losses) * batch[0].shape[0]
                 seen += batch[0].shape[0]
             accs = [evaluate(view, test_ds) for view in models]

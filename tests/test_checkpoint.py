@@ -3,10 +3,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsn.checkpoint import (Checkpoint, GroupState, load_checkpoint,
                             save_checkpoint)
-from nsn.errors import FormatError, LengthError
+from nsn.errors import FormatError, LengthError, NsnError
 
 
 def sample_checkpoint(seed=0):
@@ -133,3 +135,48 @@ class TestCorruption:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(LengthError, match="trailing"):
             load_checkpoint(path)
+
+    def test_config_echo_that_is_not_utf8_is_format_error(self, tmp_path):
+        path = tmp_path / "model.nsn"
+        save_checkpoint(path, sample_checkpoint())
+        data = bytearray(path.read_bytes())
+        data[-1] = 0xFF  # the echo's last byte
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A version 2 and a version 1 checkpoint file's bytes."""
+    path = tmp_path_factory.mktemp("valid") / "model.nsn"
+    save_checkpoint(path, sample_checkpoint())
+    return [path.read_bytes(), version1_bytes()]
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_any_bytes_load_or_raise_an_nsn_error(valid_files, tmp_path_factory,
+                                              data):
+    """Random bytes, or a valid file with bytes overwritten (often in the
+    config echo at its end), cut short or extended, either load or raise
+    an NsnError, which the CLI reports with exit 2."""
+    if data.draw(st.booleans()):
+        raw = data.draw(st.binary(max_size=64))
+    else:
+        base = bytearray(data.draw(st.sampled_from(valid_files)))
+        end = len(base) - 1
+        positions = st.one_of(st.integers(0, end),
+                              st.integers(end - 15, end))
+        for i, value in data.draw(st.lists(
+                st.tuples(positions, st.integers(0, 255)), max_size=4)):
+            base[i] = value
+        cut = data.draw(st.one_of(st.just(len(base)),
+                                  st.integers(0, len(base))))
+        raw = bytes(base[:cut]) + data.draw(st.binary(max_size=8))
+    path = tmp_path_factory.getbasetemp() / "any.nsn"
+    path.write_bytes(raw)
+    try:
+        load_checkpoint(path)
+    except NsnError:
+        pass

@@ -10,6 +10,7 @@ import nsn
 from conftest import write_idx_dir
 from nsn.checkpoint import load_checkpoint
 from nsn.cli import build_parser, load_config_file, main
+from nsn.mnist import TEST_LABELS
 
 
 def run_tiny_train(tmp_path, *extra):
@@ -151,6 +152,36 @@ class TestEvalCommands:
         base_acc = [line for line in eval_out.splitlines()
                     if "model m1" in line][0].split("accuracy ")[1].split()[0]
         assert base_acc in detach_out
+
+    def test_detach_eval_of_a_baseline_rejects_models_it_did_not_train(
+            self, tmp_path, capsys):
+        data = write_idx_dir(tmp_path / "data", train_count=64,
+                             test_count=32)
+        out = tmp_path / "ref"
+        assert main(["train-ref", "--data-dir", str(data),
+                     "--out-dir", str(out), "--n-hidden", "2",
+                     "--epochs", "1", "--batch", "32"]) == 0
+        detach_eval = ["detach-eval", "--checkpoint",
+                       str(out / "checkpoint_final.nsn"),
+                       "--data-dir", str(data), "--drop-layers"]
+        capsys.readouterr()
+        assert main(detach_eval + ["1"]) == 2
+        assert "m1, which" in capsys.readouterr().err
+        assert main(detach_eval + ["0"]) == 0
+        assert "model m2" in capsys.readouterr().out
+
+    def test_label_byte_above_nine_is_usage_error(self, tmp_path, capsys):
+        data, out = run_tiny_train(tmp_path)
+        labels = data / TEST_LABELS
+        raw = bytearray(labels.read_bytes())
+        raw[8] = 12
+        labels.write_bytes(bytes(raw))
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint",
+                     str(out / "checkpoint_final.nsn"),
+                     "--data-dir", str(data)])
+        assert code == 2
+        assert "12" in capsys.readouterr().err
 
     def test_drop_too_many_layers_is_usage_error(self, tmp_path, capsys):
         data, out = run_tiny_train(tmp_path)

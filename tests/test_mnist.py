@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (REAL_DATA, idx_image_bytes, idx_label_bytes,
                       requires_mnist, write_idx_dir)
-from nsn.errors import ConfigError, FormatError, LengthError
+from nsn.errors import ConfigError, FormatError, LengthError, NsnError
 from nsn import mnist
 
 
@@ -198,6 +199,44 @@ class TestByteBackedDataset:
         assert train.pixels is images  # the bytes are let go
         assert train.rows(order).tobytes() == scaled_rows.tobytes()
         assert images[order].tobytes() == scaled_rows.tobytes()
+
+
+@st.composite
+def idx_files(draw, magic: int, dims: int):
+    """Random bytes, or an IDX header (of the right magic or not, with a
+    count and geometry that may or may not fit) and a random payload."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    payload = draw(st.binary(max_size=3 * mnist.PIXELS))
+    side = st.one_of(st.just(mnist.IMAGE_SIDE), st.integers(0, 2 ** 32 - 1))
+    geometry = [draw(side) for _ in range(dims - 1)]
+    cells = math.prod(geometry)
+    count = draw(st.one_of(st.just(len(payload) // max(cells, 1)),
+                           st.integers(0, 2 ** 32 - 1)))
+    header = [draw(st.one_of(st.just(magic), st.integers(0, 2 ** 32 - 1))),
+              count] + geometry
+    return struct.pack(f">{len(header)}I", *header) + payload
+
+
+class TestAnyBytes:
+    """For any bytes, the IDX parsers either return or raise an NsnError,
+    which the CLI reports with exit 2."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=idx_files(mnist.IMAGE_MAGIC, dims=3))
+    def test_images(self, data):
+        try:
+            mnist.parse_idx_images(data)
+        except NsnError:
+            pass
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=idx_files(mnist.LABEL_MAGIC, dims=1))
+    def test_labels(self, data):
+        try:
+            mnist.parse_idx_labels(data)
+        except NsnError:
+            pass
 
 
 @requires_mnist

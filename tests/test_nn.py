@@ -285,6 +285,47 @@ class TestModelBackward:
             np.testing.assert_allclose(a.d_bias, n.d_bias, atol=1e-7)
 
 
+class TestModelBuffers:
+    """Passes written into preallocated buffers, for up to more rows than
+    the batch holds, equal bitwise the passes that allocate."""
+
+    @pytest.mark.parametrize("keep", [0.5, 0.8, 0.3, 1 / 3])
+    def test_mask_into_buffers_is_the_same_draw(self, keep):
+        want = nn.dropout_mask((6, 5), keep, np.random.default_rng(31))
+        out = np.empty((6, 5), np.float32)
+        got = nn.dropout_mask((6, 5), keep, np.random.default_rng(31),
+                              out=out, draw=np.empty((6, 5)))
+        assert got is out and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [7, 3])
+    def test_passes_into_buffers_equal_fresh_ones_bitwise(self, rows):
+        params = random_layers((6, 6, 6, 4), seed=32)
+        spec = nn.spec_for_params(params, input_keep=0.8, hidden_keep=0.5)
+        rng = np.random.default_rng(33)
+        x = rng.random((rows, 6)).astype(np.float32)
+        labels = rng.integers(0, 4, size=rows)
+        buffers = nn.ModelBuffers(spec, 7)
+        results = []
+        for out in (None, buffers):
+            logp, cache = nn.model_forward(spec, params, x, "train",
+                                           np.random.default_rng(34),
+                                           out=out)
+            grads = nn.model_backward(spec, params, cache, labels, out=out)
+            results.append([logp] + [a for g in grads
+                                     for a in (g.d_weight, g.d_bias)])
+        assert results[1][1] is buffers.grads[0].d_weight
+        for want, got in zip(*results, strict=True):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_buffers_too_small_for_the_batch_are_rejected(self):
+        params = random_layers((6, 4))
+        spec = nn.spec_for_params(params)
+        with pytest.raises(ShapeError):
+            nn.model_forward(spec, params, np.zeros((3, 6), np.float32),
+                             "eval", out=nn.ModelBuffers(spec, 2, "eval"))
+
+
 class TestNumericalGradient:
     def test_hand_derived_softmax_gradient(self):
         # one sample, one feature, two classes: dW = (p - y) * x, db = p - y

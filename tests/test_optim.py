@@ -136,3 +136,40 @@ class TestFormatEquivalence:
             v_std = optim.momentum_standard(v_std, w_std, alpha)
             w_std = optim.apply_update(w_std, v_std, lr * (1 - alpha))
             assert np.max(np.abs(w_ema - w_std)) <= 1e-6
+
+
+
+bounded32 = arrays(np.float32, (3, 4), elements=st.floats(-1e3, 1e3,
+                                                          width=32))
+
+
+class TestInPlaceForms:
+    """Each ``out=`` form runs its pure form's float operations in the same
+    order, so the results are bitwise equal, whether ``out`` is a fresh
+    array or the first operand, and with or without a scratch array."""
+
+    @pytest.mark.parametrize("name, takes_scratch", [
+        ("momentum_standard", False), ("momentum_nsn", True),
+        ("apply_update", True)])
+    @settings(deadline=None, max_examples=40)
+    @given(a=bounded32, b=bounded32, scalar=st.floats(0.0, 0.99),
+           in_place=st.booleans(), with_scratch=st.booleans())
+    def test_out_form_is_bitwise_the_pure_form(self, name, takes_scratch, a,
+                                               b, scalar, in_place,
+                                               with_scratch):
+        fn = getattr(optim, name)
+        want = fn(a, b, scalar)
+        out = a if in_place else np.empty_like(a)
+        extra = ({"scratch": np.empty_like(a)}
+                 if takes_scratch and with_scratch else {})
+        got = fn(a, b, scalar, out=out, **extra)
+        assert got is out
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(deadline=None, max_examples=40)
+    @given(w=bounded32, lam=st.floats(0.0, 1.0), in_place=st.booleans())
+    def test_l2_out_form_is_bitwise_the_pure_form(self, w, lam, in_place):
+        want = optim.l2_gradient(lam, w)
+        out = w if in_place else np.empty_like(w)
+        got = optim.l2_gradient(lam, w, out=out)
+        assert got is out and got.tobytes() == want.tobytes()

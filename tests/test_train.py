@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from nsn.mnist import Dataset, load_data_dir
 from nsn.nn import DenseLayer
 from nsn.optim import MomentumState, Schedule
 from nsn.train import (BEST_CHECKPOINT, BEST_FILE, FINAL_CHECKPOINT,
-                       METRICS_FILE, TrainConfig, evaluate,
+                       METRICS_FILE, StepWorkspace, TrainConfig, evaluate,
                        family_from_checkpoint, reference_step, train,
                        train_reference, train_step)
 
@@ -425,3 +426,75 @@ class TestByteBackedData:
         for view in family.views():
             assert evaluate(view, test_ds, eval_batch=24) == evaluate(
                 view, scaled, eval_batch=24)
+
+
+def traced_peak(fn) -> int:
+    """Bytes ``fn()`` allocates at its peak, over what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def step_of(mode, family, config):
+    """The step of ``mode`` over ``family``, as f(batch, step, workspace),
+    with the specs its workspace is built from."""
+    momentum = [MomentumState.zeros_like(g.layer) for g in family.groups]
+    if mode == "nsn":
+        specs = [config.model_spec(m) for m in range(family.n + 1)]
+        return specs, lambda batch, step, ws: train_step(
+            family, momentum, batch, config, 0, step, ws)
+    specs = [config.model_spec(config.n_hidden)]
+    return specs, lambda batch, step, ws: reference_step(
+        family.view(family.n), momentum[::-1], batch, config, 0, step, ws)
+
+
+class TestStepWorkspace:
+    @pytest.mark.parametrize("mode", ["nsn", "reference"])
+    def test_a_warmed_up_step_allocates_less_than_one_activation(self,
+                                                                  mode):
+        config = TrainConfig(mode=mode, n_hidden=2, batch_size=128)
+        family = build_family(2, init_seed=1)
+        specs, step = step_of(mode, family, config)
+        workspace = StepWorkspace(specs, config.batch_size)
+        rng = np.random.default_rng(2)
+        batch = (rng.random((128, 784), dtype=np.float32),
+                 rng.integers(0, 10, size=128))
+        step(batch, 0, workspace)
+        peak = traced_peak(lambda: step(batch, 1, workspace))
+        assert peak < 128 * 784 * 4
+
+    @pytest.mark.parametrize("mode", ["nsn", "reference"])
+    def test_one_workspace_for_every_step_equals_a_fresh_one_per_step(
+            self, mode):
+        config = toy_config(mode=mode, n_hidden=2)
+        batches = [toy_batch(config, seed) for seed in range(4)]
+        x, labels = batches[-1]
+        batches[-1] = (x[:3], labels[:3])  # a short last batch
+        finals = []
+        for shared in (True, False):
+            family = build_family(2, config.input_dim, config.classes, 5)
+            specs, step = step_of(mode, family, config)
+            workspace = (StepWorkspace(specs, config.batch_size) if shared
+                         else None)
+            for i, batch in enumerate(batches):
+                step(batch, i, workspace)
+            finals.append([a.tobytes() for g in family.groups
+                           for a in (g.layer.weight, g.layer.bias)])
+        assert finals[0] == finals[1]
+
+    def test_evaluate_never_scales_the_whole_set(self):
+        rng = np.random.default_rng(3)
+        count = 1024
+        ds = Dataset(pixels=rng.integers(0, 256, (count, 784), np.uint8),
+                     labels=rng.integers(0, 10, count))
+        view = build_family(2, init_seed=4).view(2)
+        want = evaluate(view, Dataset(pixels=ds.rows(slice(None)),
+                                      labels=ds.labels), eval_batch=128)
+        peak = traced_peak(lambda: evaluate(view, ds, eval_batch=128))
+        assert peak < count * 784 * 4
+        assert "images" not in ds.__dict__ and ds.pixels.dtype == np.uint8
+        assert evaluate(view, ds, eval_batch=128) == want

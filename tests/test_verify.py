@@ -18,7 +18,7 @@ class TestChecks:
     def test_broken_relu_backward_is_caught(self, monkeypatch):
         # harness self-test: a wrong activation gradient must fail the
         # gradient check by name
-        def broken(d_out, z):
+        def broken(d_out, z, out=None):
             return d_out * (z > 0.1)
 
         monkeypatch.setattr(nsn.nn, "relu_backward", broken)
@@ -42,7 +42,7 @@ class TestVerifyCommand:
         assert "gradcheck" in out and "canonical-vs-literal" in out
 
     def test_exit_one_on_failure(self, capsys, monkeypatch):
-        def broken(d_out, z):
+        def broken(d_out, z, out=None):
             return d_out * 1.01 * (z > 0)
 
         monkeypatch.setattr(nsn.nn, "relu_backward", broken)
