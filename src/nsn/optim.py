@@ -58,47 +58,31 @@ def _check_match(v: np.ndarray, g: np.ndarray, op: str) -> None:
 
 def momentum_standard(v: np.ndarray, g: np.ndarray, alpha: float,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """V' = alpha*V + G.
-
-    With ``out`` (which may be ``v``), V' is computed in place there by the
-    same float operations, and nothing is allocated.
-    """
+    """V' = alpha*V + G, written into ``out`` (which may be ``v``) when
+    given."""
     _check_match(v, g, "momentum_standard")
-    if out is None:
-        return alpha * v + g
-    np.multiply(alpha, v, out=out)
+    out = np.multiply(alpha, v, out=out)
     return np.add(out, g, out=out)
 
 
 def momentum_nsn(v: np.ndarray, g: np.ndarray, alpha: float,
                  out: np.ndarray | None = None,
                  scratch: np.ndarray | None = None) -> np.ndarray:
-    """V' = alpha*V + (1-alpha)*G.
-
-    With ``out`` (which may be ``v`` or ``g``), V' is computed in place
-    there by the same float operations; the (1-alpha)*G term goes to
-    ``scratch``, an array of G's shape, allocated when not given.
-    """
+    """V' = alpha*V + (1-alpha)*G, written into ``out`` (which may be ``v``
+    or ``g``) when given; the (1-alpha)*G term goes to ``scratch``, an
+    array of G's shape, when given."""
     _check_match(v, g, "momentum_nsn")
-    if out is None:
-        return alpha * v + (1.0 - alpha) * g
     term = np.multiply(1.0 - alpha, g, out=scratch)
-    np.multiply(alpha, v, out=out)
+    out = np.multiply(alpha, v, out=out)
     return np.add(out, term, out=out)
 
 
 def apply_update(w: np.ndarray, v: np.ndarray, lr: float,
                  out: np.ndarray | None = None,
                  scratch: np.ndarray | None = None) -> np.ndarray:
-    """W' = W - lr*V.
-
-    With ``out`` (which may be ``w``), W' is computed in place there by the
-    same float operations; the lr*V term goes to ``scratch``, an array of
-    V's shape, allocated when not given.
-    """
+    """W' = W - lr*V, written into ``out`` (which may be ``w``) when given;
+    the lr*V term goes to ``scratch``, an array of V's shape, when given."""
     _check_match(w, v, "apply_update")
-    if out is None:
-        return w - lr * v
     step = np.multiply(lr, v, out=scratch)
     return np.subtract(w, step, out=out)
 

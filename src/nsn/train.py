@@ -9,7 +9,10 @@ averaging into canonical groups, the EMA-style momentum update, and the
 parameter update. Reference runs train a single model with plain gradients,
 L2 on all weights, and standard momentum; that model is stored as a family
 whose base view is the only one trained, so both kinds of run share one
-init, resume, loop and checkpoint path.
+init, resume, loop and checkpoint path, and one step body: the forward,
+backward and L2 of the views a run trains, and the in-place update of every
+group. The two steps differ only in the copy, the pairing and the momentum
+format.
 
 Randomness is split by purpose and keyed by position: shuffling by
 (seed, epoch), dropout by (seed, epoch, step, model). Resuming from a
@@ -84,12 +87,20 @@ class TrainConfig:
             raise ConfigError(f"{self.mode} mode needs n_hidden >= "
                               f"{min_hidden}, got {self.n_hidden}")
         for name in ("init_seed", "shuffle_seed", "dropout_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < 2**64:  # a checkpoint's u64
+                raise ConfigError(f"{name} must be in [0, 2**64), "
+                                  f"got {getattr(self, name)}")
         for name, p in (("input_keep", self.input_keep),
                         ("hidden_keep", self.hidden_keep)):
             if not 0.0 < p <= 1.0:
                 raise ConfigError(f"{name} must be in (0, 1], got {p}")
+
+    def trained_views(self) -> Sequence[int]:
+        """Views a run trains: every view of a family, the base view of a
+        baseline."""
+        if self.mode == "nsn":
+            return range(self.n_hidden + 1)
+        return [self.n_hidden]
 
     def model_spec(self, m: int) -> ModelSpec:
         """Spec of the model with m hidden layers; the 0-hidden model never
@@ -149,25 +160,26 @@ class StepWorkspace:
         return self.scratch[:a.size].reshape(a.shape)
 
 
-def train_step(family: ModelFamily, momentum: Sequence[MomentumState],
-               batch: tuple[np.ndarray, np.ndarray], config: TrainConfig,
-               epoch: int, step: int = 0,
-               workspace: StepWorkspace | None = None) -> list[float]:
-    """One family minibatch update; returns each model's pre-update loss.
-
-    ``workspace`` holds buffers for models 0..n; a fresh one is built when
-    none is given.
-    """
-    copy_up(family)
+def _forward_backward(family: ModelFamily,
+                      batch: tuple[np.ndarray, np.ndarray],
+                      config: TrainConfig, epoch: int, step: int,
+                      workspace: StepWorkspace | None
+                      ) -> tuple[list[float], list, StepWorkspace]:
+    """Train-mode forward, loss and backward of each view ``config``
+    trains, dropout keyed by its position among them, into ``workspace``
+    (built when None); then L2 on the base view's weight gradients.
+    Returns the losses, the gradient sets (input layer first) and the
+    workspace."""
     x, labels = batch
-    specs = [config.model_spec(m) for m in range(family.n + 1)]
+    views = config.trained_views()
+    specs = [config.model_spec(m) for m in views]
     if workspace is None:
         workspace = StepWorkspace(specs, x.shape[0])
     losses: list[float] = []
     grad_sets = []
-    for m, (spec, buffers) in enumerate(zip(specs, workspace.models,
-                                            strict=True)):
-        rng = (_dropout_rng(config, epoch, step, m)
+    for i, (m, spec, buffers) in enumerate(zip(views, specs, workspace.models,
+                                               strict=True)):
+        rng = (_dropout_rng(config, epoch, step, i)
                if spec.uses_dropout else None)
         view = family.view(m)
         logp, cache = model_forward(spec, view, x, "train", rng, out=buffers)
@@ -183,55 +195,61 @@ def train_step(family: ModelFamily, momentum: Sequence[MomentumState],
             grads.d_weight += l2_gradient(
                 config.l2_lambda, layer.weight,
                 out=workspace.scratch_like(layer.weight))
-    group_grads = paired_average_gradients(grad_sets, family.n)
+    return losses, grad_sets, workspace
+
+
+def _update(family: ModelFamily, momentum: Sequence[MomentumState],
+            group_grads: Sequence, config: TrainConfig, epoch: int,
+            workspace: StepWorkspace, ema: bool) -> None:
+    """Momentum (EMA when ``ema``, else standard), then the parameter
+    update, in place for every group, head first."""
     lr = lr_at(config.schedule, epoch)
     alpha = config.schedule.alpha
-    for grads, state, group in zip(group_grads, momentum, family.groups):
+    for grads, state, group in zip(group_grads, momentum, family.groups,
+                                   strict=True):
         layer = group.layer
         for v, g in ((state.v_weight, grads.d_weight),
                      (state.v_bias, grads.d_bias)):
-            momentum_nsn(v, g, alpha, out=v,
-                         scratch=workspace.scratch_like(v))
+            if ema:
+                momentum_nsn(v, g, alpha, out=v,
+                             scratch=workspace.scratch_like(v))
+            else:
+                momentum_standard(v, g, alpha, out=v)
         for p, v in ((layer.weight, state.v_weight),
                      (layer.bias, state.v_bias)):
             apply_update(p, v, lr, out=p, scratch=workspace.scratch_like(v))
+
+
+def train_step(family: ModelFamily, momentum: Sequence[MomentumState],
+               batch: tuple[np.ndarray, np.ndarray], config: TrainConfig,
+               epoch: int, step: int = 0,
+               workspace: StepWorkspace | None = None) -> list[float]:
+    """One family minibatch update; returns each model's pre-update loss.
+
+    ``momentum`` is one state per group, head first. ``workspace`` holds
+    buffers for models 0..n; a fresh one is built when none is given.
+    """
+    copy_up(family)
+    losses, grad_sets, workspace = _forward_backward(
+        family, batch, config, epoch, step, workspace)
+    _update(family, momentum, paired_average_gradients(grad_sets, family.n),
+            config, epoch, workspace, ema=True)
     return losses
 
 
-def reference_step(layers: list[DenseLayer],
-                   momentum: Sequence[MomentumState],
+def reference_step(family: ModelFamily, momentum: Sequence[MomentumState],
                    batch: tuple[np.ndarray, np.ndarray], config: TrainConfig,
                    epoch: int, step: int = 0,
                    workspace: StepWorkspace | None = None) -> list[float]:
-    """One regularly-trained minibatch update (standard momentum, L2 on
-    every weight layer). ``workspace`` holds buffers for this one model; a
-    fresh one is built when none is given."""
-    x, labels = batch
-    spec = config.model_spec(config.n_hidden)
-    if workspace is None:
-        workspace = StepWorkspace([spec], x.shape[0])
-    buffers, = workspace.models
-    rng = (_dropout_rng(config, epoch, step, 0)
-           if spec.uses_dropout else None)
-    logp, cache = model_forward(spec, layers, x, "train", rng, out=buffers)
-    loss = nll_loss(logp, labels)
-    if not np.isfinite(loss):
-        raise DivergenceError(f"non-finite loss at epoch {epoch} step {step}")
-    grads = model_backward(spec, layers, cache, labels, out=buffers)
-    lr = lr_at(config.schedule, epoch)
-    alpha = config.schedule.alpha
-    for g, state, layer in zip(grads, momentum, layers):
-        if config.l2_lambda > 0:
-            g.d_weight += l2_gradient(
-                config.l2_lambda, layer.weight,
-                out=workspace.scratch_like(layer.weight))
-        momentum_standard(state.v_weight, g.d_weight, alpha,
-                          out=state.v_weight)
-        momentum_standard(state.v_bias, g.d_bias, alpha, out=state.v_bias)
-        for p, v in ((layer.weight, state.v_weight),
-                     (layer.bias, state.v_bias)):
-            apply_update(p, v, lr, out=p, scratch=workspace.scratch_like(v))
-    return [loss]
+    """One regularly-trained minibatch update of a baseline's base view:
+    its own gradients, L2 on every weight layer, standard momentum.
+    Arguments are as for :func:`train_step`; ``workspace`` holds buffers
+    for the base model only."""
+    losses, (grads,), workspace = _forward_backward(
+        family, batch, config, epoch, step, workspace)
+    _update(family, momentum, grads[::-1], config, epoch, workspace,
+            ema=False)
+    return losses
 
 
 def evaluate(params: Sequence[DenseLayer], dataset: Dataset,
@@ -317,21 +335,17 @@ def family_from_checkpoint(ckpt: Checkpoint) -> tuple[ModelFamily,
     return family, momentum
 
 
-def init_reference_layers(config: TrainConfig) -> list[DenseLayer]:
-    """Baseline layers, input first; layer i draws from [init_seed, i]."""
-    dims = config.model_spec(config.n_hidden).dims
-    return [init_layer(dims[i + 1], dims[i],
-                       np.random.default_rng([config.init_seed, i]))
-            for i in range(len(dims) - 1)]
-
-
 def init_family(config: TrainConfig) -> ModelFamily:
-    """Fresh parameters for ``config.mode``; the baseline's layers are
-    stored head first, as groups n..0 of a family."""
+    """Fresh parameters for ``config.mode``. A baseline's input-first layer
+    i draws from [init_seed, i]; its layers are stored head first, as
+    groups n..0 of a family."""
     if config.mode == "nsn":
         return build_family(config.n_hidden, config.input_dim,
                             config.classes, config.init_seed)
-    layers = init_reference_layers(config)
+    dims = config.model_spec(config.n_hidden).dims
+    layers = [init_layer(dims[i + 1], dims[i],
+                         np.random.default_rng([config.init_seed, i]))
+              for i in range(len(dims) - 1)]
     return ModelFamily([CanonicalGroup(id=g, layer=layer)
                         for g, layer in enumerate(reversed(layers))])
 
@@ -371,9 +385,8 @@ def train_reference(config: TrainConfig, train_ds: Dataset | None = None,
 def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
            test_ds: Dataset | None, resume_from: Path | None,
            log: Callable[[str], None] | None) -> TrainResult:
-    """The loop both trainers share; ``mode`` picks the step and the models
-    that are evaluated (every view of a family, the base view of a
-    baseline).
+    """The loop both trainers share; ``mode`` picks the step, and
+    ``config.trained_views()`` the models that are trained and evaluated.
 
     When resuming, the checkpoint's seeds replace the config's, every other
     field but the epochs and paths must match the checkpoint's config echo,
@@ -387,7 +400,8 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
                           f"got {config.mode!r}")
     if config.out_dir is None:
         raise ConfigError("no out_dir configured")
-    n_models = config.n_hidden + 1 if mode == "nsn" else 1
+    views = config.trained_views()
+    n_models = len(views)
     start_epoch, best_epoch, best_accs = 0, -1, [0.0] * n_models
     if resume_from is None:
         family = init_family(config)
@@ -416,12 +430,11 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
         if changed:
             raise ConfigError(f"{resume_from} was trained with other values "
                               f"of {', '.join(changed)}")
-    models = family.views() if mode == "nsn" else [family.view(family.n)]
+    models = [family.view(m) for m in views]
     if train_ds is None or test_ds is None:
         if config.data_dir is None:
             raise ConfigError("no datasets given and no data_dir configured")
         train_ds, test_ds = load_data_dir(config.data_dir)
-    base_momentum = momentum[::-1]  # input layer first, like the base view
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -429,9 +442,9 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
                      seed=config.shuffle_seed)
     writer = _MetricsWriter(out_dir, n_models, start_epoch)
     history: list[MetricsRecord] = []
-    workspace = StepWorkspace([config.model_spec(m)
-                               for m in range(config.n_hidden + 1)]
-                              [-n_models:], config.batch_size)
+    workspace = StepWorkspace([config.model_spec(m) for m in views],
+                              config.batch_size)
+    step_fn = train_step if mode == "nsn" else reference_step
 
     def checkpoint_at(epoch_done: int, name: str) -> Path:
         path = out_dir / name
@@ -451,12 +464,8 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
             loss_sums = np.zeros(n_models)
             seen = 0
             for step, batch in enumerate(batches(train_ds, plan, epoch)):
-                if mode == "nsn":
-                    losses = train_step(family, momentum, batch, config,
-                                        epoch, step, workspace)
-                else:
-                    losses = reference_step(models[0], base_momentum, batch,
-                                            config, epoch, step, workspace)
+                losses = step_fn(family, momentum, batch, config, epoch,
+                                 step, workspace)
                 loss_sums += np.asarray(losses) * batch[0].shape[0]
                 seen += batch[0].shape[0]
             accs = [evaluate(view, test_ds) for view in models]

@@ -304,6 +304,23 @@ class TestSeedDerivation:
         for ga, gb in zip(a.groups, b.groups):
             assert ga.weight.tobytes() == gb.weight.tobytes()
 
+    def test_seed_the_checkpoint_cannot_store_is_usage_error(self, tmp_path,
+                                                              capsys):
+        data = write_idx_dir(tmp_path / "data", train_count=64,
+                             test_count=32)
+        out = tmp_path / "run"
+        code = main(["train", "--data-dir", str(data), "--out-dir", str(out),
+                     "--n-hidden", "1", "--epochs", "1",
+                     "--seed", str(2**64 - 1)])
+        assert code == 2
+        assert "shuffle_seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_the_checkpoint_can_store_trains(self, tmp_path):
+        _, out = run_tiny_train(tmp_path, "--seed", str(2**64 - 3))
+        ckpt = load_checkpoint(out / "checkpoint_final.nsn")
+        assert ckpt.dropout_seed == 2**64 - 1
+
     def test_parser_builds(self):
         assert build_parser() is not None
 

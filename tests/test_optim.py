@@ -143,33 +143,42 @@ bounded32 = arrays(np.float32, (3, 4), elements=st.floats(-1e3, 1e3,
                                                           width=32))
 
 
+FORMULAS = {
+    "momentum_standard": lambda v, g, alpha: alpha * v + g,
+    "momentum_nsn": lambda v, g, alpha: alpha * v + (1 - alpha) * g,
+    "apply_update": lambda w, v, lr: w - lr * v,
+}
+
+
 class TestInPlaceForms:
-    """Each ``out=`` form runs its pure form's float operations in the same
-    order, so the results are bitwise equal, whether ``out`` is a fresh
-    array or the first operand, and with or without a scratch array."""
+    """Each rule runs its formula's float operations in the order the
+    written expression does, so its result is bitwise that expression's,
+    whether ``out`` is absent, a fresh array or the first operand, and
+    with or without a scratch array."""
 
     @pytest.mark.parametrize("name, takes_scratch", [
         ("momentum_standard", False), ("momentum_nsn", True),
         ("apply_update", True)])
     @settings(deadline=None, max_examples=40)
     @given(a=bounded32, b=bounded32, scalar=st.floats(0.0, 0.99),
-           in_place=st.booleans(), with_scratch=st.booleans())
+           out_kind=st.sampled_from(["none", "fresh", "in place"]),
+           with_scratch=st.booleans())
     def test_out_form_is_bitwise_the_pure_form(self, name, takes_scratch, a,
-                                               b, scalar, in_place,
+                                               b, scalar, out_kind,
                                                with_scratch):
-        fn = getattr(optim, name)
-        want = fn(a, b, scalar)
-        out = a if in_place else np.empty_like(a)
+        want = FORMULAS[name](a, b, scalar)
+        out = {"none": None, "fresh": np.empty_like(a),
+               "in place": a}[out_kind]
         extra = ({"scratch": np.empty_like(a)}
                  if takes_scratch and with_scratch else {})
-        got = fn(a, b, scalar, out=out, **extra)
-        assert got is out
+        got = getattr(optim, name)(a, b, scalar, out=out, **extra)
+        assert out is None or got is out
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @settings(deadline=None, max_examples=40)
     @given(w=bounded32, lam=st.floats(0.0, 1.0), in_place=st.booleans())
     def test_l2_out_form_is_bitwise_the_pure_form(self, w, lam, in_place):
-        want = optim.l2_gradient(lam, w)
+        want = lam * w
         out = w if in_place else np.empty_like(w)
         got = optim.l2_gradient(lam, w, out=out)
         assert got is out and got.tobytes() == want.tobytes()

@@ -7,14 +7,14 @@ import pytest
 from conftest import toy_dataset
 from nsn.checkpoint import load_checkpoint
 from nsn.errors import ConfigError, ConsistencyError, DivergenceError
-from nsn.family import build_family
+from nsn.family import CanonicalGroup, ModelFamily, build_family
 from nsn.mnist import Dataset, load_data_dir
-from nsn.nn import DenseLayer
-from nsn.optim import MomentumState, Schedule
+from nsn.nn import DenseLayer, model_backward, model_forward
+from nsn.optim import MomentumState, Schedule, lr_at
 from nsn.train import (BEST_CHECKPOINT, BEST_FILE, FINAL_CHECKPOINT,
                        METRICS_FILE, StepWorkspace, TrainConfig, evaluate,
-                       family_from_checkpoint, reference_step, train,
-                       train_reference, train_step)
+                       family_from_checkpoint, init_family, reference_step,
+                       train, train_reference, train_step)
 
 
 def toy_config(**overrides):
@@ -145,7 +145,56 @@ class TestTrainStep:
                                    fam_l2.groups[2].layer.bias, atol=1e-7)
 
 
+def literal_reference_step(layers, momentum, batch, config, epoch, step):
+    """The baseline update written out on input-first layers, with
+    allocating passes: returns the new layers and momenta."""
+    x, labels = batch
+    spec = config.model_spec(config.n_hidden)
+    rng = (np.random.default_rng([config.dropout_seed, epoch, step, 0])
+           if spec.uses_dropout else None)
+    _, cache = model_forward(spec, layers, x, "train", rng)
+    grads = model_backward(spec, layers, cache, labels)
+    lam, lr = config.l2_lambda, lr_at(config.schedule, epoch)
+    alpha = config.schedule.alpha
+    new_layers, new_momentum = [], []
+    for layer, state, g in zip(layers, momentum, grads, strict=True):
+        v_w = alpha * state.v_weight + (g.d_weight + lam * layer.weight)
+        v_b = alpha * state.v_bias + g.d_bias
+        new_layers.append(DenseLayer(layer.weight - lr * v_w,
+                                     layer.bias - lr * v_b))
+        new_momentum.append(MomentumState(v_weight=v_w, v_bias=v_b))
+    return new_layers, new_momentum
+
+
 class TestReferenceStep:
+    def test_matches_the_literal_step_bitwise(self):
+        config = toy_config(mode="reference", n_hidden=2, l2_lambda=1e-3,
+                            input_keep=0.8, hidden_keep=0.5)
+        batches = [toy_batch(config, seed) for seed in range(5)]
+        x, labels = batches[-1]
+        batches[-1] = (x[:3], labels[:3])  # a short last batch
+        family = init_family(config)
+        momentum = [MomentumState.zeros_like(g.layer) for g in family.groups]
+        layers = [DenseLayer(layer.weight.copy(), layer.bias.copy())
+                  for layer in family.view(family.n)]
+        literal_momentum = [MomentumState.zeros_like(layer)
+                            for layer in layers]
+        workspace = StepWorkspace([config.model_spec(config.n_hidden)],
+                                  config.batch_size)
+        for step, batch in enumerate(batches):
+            reference_step(family, momentum, batch, config, 0, step,
+                           workspace)
+            layers, literal_momentum = literal_reference_step(
+                layers, literal_momentum, batch, config, 0, step)
+        got = [a.tobytes() for layer, state in zip(family.view(family.n),
+                                                   momentum[::-1])
+               for a in (layer.weight, layer.bias, state.v_weight,
+                         state.v_bias)]
+        want = [a.tobytes() for layer, state in zip(layers, literal_momentum)
+                for a in (layer.weight, layer.bias, state.v_weight,
+                          state.v_bias)]
+        assert got == want
+
     def test_single_layer_closed_form(self):
         config = toy_config(mode="reference", n_hidden=0, l2_lambda=0.0,
                             schedule=Schedule(base_lr=0.5, decay_every=100,
@@ -153,10 +202,11 @@ class TestReferenceStep:
         rng = np.random.default_rng(20)
         w = rng.uniform(-0.5, 0.5, (config.classes,
                                     config.input_dim)).astype(np.float32)
-        layers = [DenseLayer(w.copy(), np.zeros(config.classes, np.float32))]
-        momentum = [MomentumState.zeros_like(layers[0])]
+        family = ModelFamily([CanonicalGroup(id=0, layer=DenseLayer(
+            w.copy(), np.zeros(config.classes, np.float32)))])
+        momentum = [MomentumState.zeros_like(family.groups[0].layer)]
         x, labels = toy_batch(config, seed=21)
-        reference_step(layers, momentum, (x, labels), config, 0, 0)
+        reference_step(family, momentum, (x, labels), config, 0, 0)
         # closed form in float64
         z = x.astype(np.float64) @ w.astype(np.float64).T
         p = np.exp(z - z.max(axis=1, keepdims=True))
@@ -164,7 +214,8 @@ class TestReferenceStep:
         y = np.zeros_like(p)
         y[np.arange(len(labels)), labels] = 1
         dW = (p - y).T @ x.astype(np.float64) / len(labels)
-        np.testing.assert_allclose(layers[0].weight, w - 0.5 * dW, atol=1e-6)
+        np.testing.assert_allclose(family.groups[0].layer.weight,
+                                   w - 0.5 * dW, atol=1e-6)
 
     def test_l2_on_every_weight_layer(self):
         lam, lr = 0.01, 0.5
@@ -174,18 +225,19 @@ class TestReferenceStep:
                                         alpha=0.0))
         cfg_l2 = toy_config(l2_lambda=lam, **common)
         cfg_plain = toy_config(l2_lambda=0.0, **common)
-        from nsn.train import init_reference_layers
-        layers_l2 = init_reference_layers(cfg_l2)
-        layers_plain = init_reference_layers(cfg_plain)
-        before = [l.weight.copy() for l in layers_l2]
-        mom_l2 = [MomentumState.zeros_like(l) for l in layers_l2]
-        mom_plain = [MomentumState.zeros_like(l) for l in layers_plain]
+        fam_l2, fam_plain = init_family(cfg_l2), init_family(cfg_plain)
+        before = [g.layer.weight.copy() for g in fam_l2.groups]
+        mom_l2 = [MomentumState.zeros_like(g.layer) for g in fam_l2.groups]
+        mom_plain = [MomentumState.zeros_like(g.layer)
+                     for g in fam_plain.groups]
         batch = toy_batch(cfg_l2, seed=22)
-        reference_step(layers_l2, mom_l2, batch, cfg_l2, 0, 0)
-        reference_step(layers_plain, mom_plain, batch, cfg_plain, 0, 0)
-        for w0, plain, penalized in zip(before, layers_plain, layers_l2):
-            np.testing.assert_allclose(plain.weight - penalized.weight,
-                                       lr * lam * w0, atol=1e-6)
+        reference_step(fam_l2, mom_l2, batch, cfg_l2, 0, 0)
+        reference_step(fam_plain, mom_plain, batch, cfg_plain, 0, 0)
+        for w0, plain, penalized in zip(before, fam_plain.groups,
+                                        fam_l2.groups):
+            np.testing.assert_allclose(
+                plain.layer.weight - penalized.layer.weight, lr * lam * w0,
+                atol=1e-6)
 
 
 class TestEvaluate:
@@ -395,6 +447,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             toy_config(n_hidden=0)
 
+    @pytest.mark.parametrize("name", ["init_seed", "shuffle_seed",
+                                      "dropout_seed"])
+    def test_seeds_must_fit_a_checkpoint_u64(self, name):
+        assert getattr(toy_config(**{name: 2**64 - 1}), name) == 2**64 - 1
+        for bad in (-1, 2**64):
+            with pytest.raises(ConfigError, match=name):
+                toy_config(**{name: bad})
+
     def test_reference_allows_zero_hidden(self):
         assert toy_config(mode="reference", n_hidden=0).n_hidden == 0
 
@@ -443,13 +503,10 @@ def step_of(mode, family, config):
     """The step of ``mode`` over ``family``, as f(batch, step, workspace),
     with the specs its workspace is built from."""
     momentum = [MomentumState.zeros_like(g.layer) for g in family.groups]
-    if mode == "nsn":
-        specs = [config.model_spec(m) for m in range(family.n + 1)]
-        return specs, lambda batch, step, ws: train_step(
-            family, momentum, batch, config, 0, step, ws)
-    specs = [config.model_spec(config.n_hidden)]
-    return specs, lambda batch, step, ws: reference_step(
-        family.view(family.n), momentum[::-1], batch, config, 0, step, ws)
+    specs = [config.model_spec(m) for m in config.trained_views()]
+    step_fn = train_step if mode == "nsn" else reference_step
+    return specs, lambda batch, step, ws: step_fn(
+        family, momentum, batch, config, 0, step, ws)
 
 
 class TestStepWorkspace:
