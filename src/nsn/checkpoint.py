@@ -21,8 +21,11 @@ Layout (all integers little-endian):
     u32     config echo byte length, then UTF-8 bytes
 
 Round-trips are bitwise, version 1 files included: float payloads are
-written with tobytes() and read back with frombuffer(). A version 1 file
-loads with the best epoch unknown (-1, no accuracies).
+written with tobytes() and read with readinto() straight from the file into
+the arrays the loaded checkpoint holds, so a load holds each parameter once.
+Every length is checked against the bytes left in the file before anything
+is allocated for it. A version 1 file loads with the best epoch unknown
+(-1, no accuracies).
 
 Files are written to a temporary file in the same directory and renamed
 over the target, so a crash mid-write leaves the previous file whole.
@@ -30,6 +33,7 @@ over the target, so a crash mid-write leaves the previous file whole.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -38,23 +42,18 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, LengthError
+from .nn import DenseLayer
+from .optim import MomentumState
 
 MAGIC = b"NSN1"
 VERSION = 2
 
 
 @dataclass
-class GroupState:
-    weight: np.ndarray
-    bias: np.ndarray
-    v_weight: np.ndarray
-    v_bias: np.ndarray
-
-
-@dataclass
 class Checkpoint:
     n: int
-    groups: list  # list[GroupState], head (group 0) first
+    groups: list[DenseLayer]  # head (group 0) first
+    momentum: list[MomentumState]  # one per group
     epoch: int
     init_seed: int
     shuffle_seed: int
@@ -72,15 +71,14 @@ def _f32_bytes(a: np.ndarray) -> bytes:
 def save_checkpoint(path: Path, ckpt: Checkpoint) -> None:
     parts = [MAGIC,
              struct.pack("<III", ckpt.version, ckpt.n, len(ckpt.groups))]
-    for g in ckpt.groups:
-        rows, cols = g.weight.shape
-        parts.append(struct.pack("<II", rows, cols))
-        parts.append(_f32_bytes(g.weight))
-        parts.append(struct.pack("<I", g.bias.shape[0]))
-        parts.append(_f32_bytes(g.bias))
-        parts.append(_f32_bytes(g.v_weight))
-        parts.append(struct.pack("<I", g.v_bias.shape[0]))
-        parts.append(_f32_bytes(g.v_bias))
+    for layer, state in zip(ckpt.groups, ckpt.momentum, strict=True):
+        parts.append(struct.pack("<II", *layer.weight.shape))
+        parts.append(_f32_bytes(layer.weight))
+        parts.append(struct.pack("<I", layer.bias.shape[0]))
+        parts.append(_f32_bytes(layer.bias))
+        parts.append(_f32_bytes(state.v_weight))
+        parts.append(struct.pack("<I", state.v_bias.shape[0]))
+        parts.append(_f32_bytes(state.v_bias))
     echo = ckpt.config_echo.encode("utf-8")
     parts.append(struct.pack("<IQQQ", ckpt.epoch, ckpt.init_seed,
                              ckpt.shuffle_seed, ckpt.dropout_seed))
@@ -106,66 +104,66 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
+    """Reads an open file front to back; every read is first checked
+    against the bytes left, so a header cannot make it allocate more than
+    the file holds."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
 
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
+    def _claim(self, count: int) -> int:
+        if self.pos + count > self.size:
             raise LengthError(f"checkpoint truncated: needed "
-                              f"{self.pos + count} bytes, have {len(self.data)}")
-        out = self.data[self.pos:self.pos + count]
+                              f"{self.pos + count} bytes, have {self.size}")
         self.pos += count
+        return count
+
+    def take(self, count: int) -> bytes:
+        return self.fh.read(self._claim(count))
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def f32s(self, *shape: int) -> np.ndarray:
+        self._claim(4 * math.prod(shape))
+        out = np.empty(shape, "<f4")
+        if self.fh.readinto(out) != out.nbytes:
+            raise LengthError("checkpoint shrank while it was read")
         return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def i32(self) -> int:
-        return struct.unpack("<i", self.take(4))[0]
-
-    def f64s(self, count: int) -> list[float]:
-        return list(struct.unpack(f"<{count}d", self.take(8 * count)))
-
-    def f32s(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(4 * count), dtype="<f4").copy()
 
 
 def load_checkpoint(path: Path) -> Checkpoint:
-    r = _Reader(Path(path).read_bytes())
-    magic = r.take(4)
-    if magic != MAGIC:
-        raise FormatError(f"bad checkpoint magic: {magic!r}")
-    version = r.u32()
-    if version not in (1, VERSION):
-        raise FormatError(f"unsupported checkpoint version {version}")
-    n = r.u32()
-    group_count = r.u32()
-    groups = []
-    for _ in range(group_count):
-        rows, cols = r.u32(), r.u32()
-        weight = r.f32s(rows * cols).reshape(rows, cols)
-        bias = r.f32s(r.u32())
-        v_weight = r.f32s(rows * cols).reshape(rows, cols)
-        v_bias = r.f32s(r.u32())
-        groups.append(GroupState(weight, bias, v_weight, v_bias))
-    epoch = r.u32()
-    seeds = (r.u64(), r.u64(), r.u64())
-    best_epoch, best_accs = -1, []
-    if version >= 2:
-        best_epoch = r.i32()
-        best_accs = r.f64s(r.u32())
-    try:
-        echo = r.take(r.u32()).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"config echo is not UTF-8: {exc}") from None
-    if r.pos != len(r.data):
-        raise LengthError(f"checkpoint has {len(r.data) - r.pos} "
-                          f"trailing bytes")
-    return Checkpoint(n=n, groups=groups, epoch=epoch, init_seed=seeds[0],
-                      shuffle_seed=seeds[1], dropout_seed=seeds[2],
-                      config_echo=echo, best_epoch=best_epoch,
-                      best_accuracies=best_accs, version=version)
+    with open(path, "rb") as fh:
+        r = _Reader(fh)
+        magic = r.take(4)
+        if magic != MAGIC:
+            raise FormatError(f"bad checkpoint magic: {magic!r}")
+        version, n, group_count = r.unpack("<III")
+        if version not in (1, VERSION):
+            raise FormatError(f"unsupported checkpoint version {version}")
+        groups, momentum = [], []
+        for _ in range(group_count):
+            rows, cols = r.unpack("<II")
+            groups.append(DenseLayer(r.f32s(rows, cols),
+                                     r.f32s(*r.unpack("<I"))))
+            momentum.append(MomentumState(r.f32s(rows, cols),
+                                          r.f32s(*r.unpack("<I"))))
+        epoch, *seeds = r.unpack("<IQQQ")
+        best_epoch, best_accs = -1, []
+        if version >= 2:
+            best_epoch, count = r.unpack("<iI")
+            best_accs = list(r.unpack(f"<{count}d"))
+        try:
+            echo = r.take(*r.unpack("<I")).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"config echo is not UTF-8: {exc}") from None
+        if r.pos != r.size:
+            raise LengthError(f"checkpoint has {r.size - r.pos} "
+                              f"trailing bytes")
+    return Checkpoint(n=n, groups=groups, momentum=momentum, epoch=epoch,
+                      init_seed=seeds[0], shuffle_seed=seeds[1],
+                      dropout_seed=seeds[2], config_echo=echo,
+                      best_epoch=best_epoch, best_accuracies=best_accs,
+                      version=version)

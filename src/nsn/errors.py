@@ -30,4 +30,4 @@ class ConsistencyError(NsnError, RuntimeError):
 
 
 class DivergenceError(NsnError, ArithmeticError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or parameter."""

@@ -24,8 +24,6 @@ head first, and trains only through the base view, model n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError
@@ -35,40 +33,33 @@ DEFAULT_INPUT_DIM = 784
 DEFAULT_CLASSES = 10
 
 
-@dataclass
-class CanonicalGroup:
-    """One shared weight/bias storage location."""
-
-    id: int
-    layer: DenseLayer
-
-
 class ModelFamily:
-    """n+1 nested model views over n+1 canonical parameter groups.
+    """n+1 nested model views over n+1 canonical parameter groups, each a
+    :class:`DenseLayer`, head first.
 
     Everything else is read from the groups: group 0 is the head
     ``classes x input_dim``; every other group is square, because a model's
     input layer doubles as the next model's first hidden layer.
     """
 
-    def __init__(self, groups: list[CanonicalGroup]):
+    def __init__(self, groups: list[DenseLayer]):
         if not groups:
             raise ConsistencyError("a family needs at least the head group")
         self.n = len(groups) - 1
         self.groups = groups
-        self.classes, self.input_dim = groups[0].layer.weight.shape
+        self.classes, self.input_dim = groups[0].weight.shape
         square = (self.input_dim, self.input_dim)
         for g, group in enumerate(groups[1:], 1):
-            if group.layer.weight.shape != square:
+            if group.weight.shape != square:
                 raise ConsistencyError(
-                    f"group {g} has shape {group.layer.weight.shape}, "
+                    f"group {g} has shape {group.weight.shape}, "
                     f"tying needs {square}")
 
     def view(self, m: int) -> list[DenseLayer]:
         """Model m's layer list (aliases of the shared storage)."""
         if not 0 <= m <= self.n:
             raise IndexError(f"model index {m} out of range [0, {self.n}]")
-        return [self.groups[g].layer for g in range(m, -1, -1)]
+        return self.groups[m::-1]
 
     def views(self) -> list[list[DenseLayer]]:
         return [self.view(m) for m in range(self.n + 1)]
@@ -93,7 +84,7 @@ def build_family(n: int, input_dim: int = DEFAULT_INPUT_DIM,
     for g in range(n + 1):
         rng = np.random.default_rng([init_seed, g])
         out_dim = classes if g == 0 else input_dim
-        groups.append(CanonicalGroup(g, init_layer(out_dim, input_dim, rng)))
+        groups.append(init_layer(out_dim, input_dim, rng))
     return ModelFamily(groups)
 
 

@@ -33,10 +33,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .checkpoint import Checkpoint, GroupState, load_checkpoint, save_checkpoint
-from .errors import ConfigError, ConsistencyError, DivergenceError
-from .family import (ModelFamily, CanonicalGroup, build_family, copy_up,
-                     init_layer, paired_average_gradients)
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .errors import ConfigError, ConsistencyError, DivergenceError, FormatError
+from .family import (ModelFamily, build_family, copy_up, init_layer,
+                     paired_average_gradients)
 from .mnist import BatchPlan, Dataset, batches, load_data_dir
 from .nn import (DenseLayer, ModelBuffers, ModelSpec, model_backward,
                  model_forward, nll_loss, spec_for_params)
@@ -205,9 +205,8 @@ def _update(family: ModelFamily, momentum: Sequence[MomentumState],
     update, in place for every group, head first."""
     lr = lr_at(config.schedule, epoch)
     alpha = config.schedule.alpha
-    for grads, state, group in zip(group_grads, momentum, family.groups,
+    for grads, state, layer in zip(group_grads, momentum, family.groups,
                                    strict=True):
-        layer = group.layer
         for v, g in ((state.v_weight, grads.d_weight),
                      (state.v_bias, grads.d_bias)):
             if ema:
@@ -279,9 +278,11 @@ def evaluate(params: Sequence[DenseLayer], dataset: Dataset,
 class _MetricsWriter:
     """Appends one CSV row per epoch, flushing immediately.
 
-    Rows from ``start_epoch`` on, left in the file by an earlier run, are
-    dropped first: a run resumed from an earlier checkpoint rewrites them
-    instead of repeating them, and a fresh run starts a fresh file.
+    A fresh run starts a fresh file. A resumed run keeps the earlier run's
+    rows before ``start_epoch`` and drops the rest, so it rewrites them
+    instead of repeating them; a row that is not UTF-8 or whose first field
+    is not an epoch is a :class:`FormatError`, raised before the file is
+    rewritten.
     """
 
     def __init__(self, out_dir: Path, n_models: int, start_epoch: int):
@@ -290,10 +291,17 @@ class _MetricsWriter:
                 + [f"loss_m{i}" for i in range(n_models)]
                 + [f"acc_m{i}" for i in range(n_models)])
         kept = [",".join(cols) + "\n"]
-        if path.exists():
-            with open(path, encoding="utf-8") as fh:
-                kept += [row for row in fh.readlines()[1:]
-                         if int(row.split(",", 1)[0]) < start_epoch]
+        if start_epoch > 0 and path.exists():
+            rows = path.read_bytes().splitlines(keepends=True)[1:]
+            for line, row in enumerate(rows, 2):
+                try:
+                    row = row.decode("utf-8")
+                    epoch = int(row.split(",", 1)[0])
+                except ValueError:  # UnicodeDecodeError included
+                    raise FormatError(f"{path} line {line} is not a "
+                                      f"metrics row") from None
+                if epoch < start_epoch:
+                    kept.append(row)
         self.handle = open(path, "w", encoding="utf-8")
         self.handle.writelines(kept)
         self.handle.flush()
@@ -320,19 +328,12 @@ def _write_best(out_dir: Path, best_epoch: int,
 
 def family_from_checkpoint(ckpt: Checkpoint) -> tuple[ModelFamily,
                                                       list[MomentumState]]:
-    """Rebuild a family, or a baseline stored as one, plus momentum buffers
-    from a checkpoint."""
+    """The family, or a baseline stored as one, and its momentum state,
+    sharing the checkpoint's arrays."""
     if len(ckpt.groups) != ckpt.n + 1:
         raise ConsistencyError(f"checkpoint claims n={ckpt.n} but has "
                                f"{len(ckpt.groups)} groups")
-    family = ModelFamily([
-        CanonicalGroup(id=g, layer=DenseLayer(gs.weight.copy(),
-                                              gs.bias.copy()))
-        for g, gs in enumerate(ckpt.groups)])
-    momentum = [MomentumState(v_weight=gs.v_weight.copy(),
-                              v_bias=gs.v_bias.copy())
-                for gs in ckpt.groups]
-    return family, momentum
+    return ModelFamily(ckpt.groups), ckpt.momentum
 
 
 def init_family(config: TrainConfig) -> ModelFamily:
@@ -346,8 +347,7 @@ def init_family(config: TrainConfig) -> ModelFamily:
     layers = [init_layer(dims[i + 1], dims[i],
                          np.random.default_rng([config.init_seed, i]))
               for i in range(len(dims) - 1)]
-    return ModelFamily([CanonicalGroup(id=g, layer=layer)
-                        for g, layer in enumerate(reversed(layers))])
+    return ModelFamily(layers[::-1])
 
 
 def _changed_fields(config: TrainConfig, echo: str) -> list[str]:
@@ -393,7 +393,8 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
     the epochs may not be fewer than the checkpoint's, and its best epoch
     is carried on, so the run continues exactly as the uninterrupted one,
     files included. Every check runs before a data or out-dir file is
-    opened.
+    opened. A weight or bias that is not finite after an epoch's last step
+    is a :class:`DivergenceError`, before that epoch is evaluated or saved.
     """
     if config.mode != mode:
         raise ConfigError(f"expected a config with mode={mode!r}, "
@@ -405,7 +406,7 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
     start_epoch, best_epoch, best_accs = 0, -1, [0.0] * n_models
     if resume_from is None:
         family = init_family(config)
-        momentum = [MomentumState.zeros_like(g.layer) for g in family.groups]
+        momentum = [MomentumState.zeros_like(g) for g in family.groups]
     else:
         ckpt = load_checkpoint(resume_from)
         if config.epochs < ckpt.epoch:
@@ -448,12 +449,10 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
 
     def checkpoint_at(epoch_done: int, name: str) -> Path:
         path = out_dir / name
-        groups = [GroupState(weight=g.layer.weight, bias=g.layer.bias,
-                             v_weight=s.v_weight, v_bias=s.v_bias)
-                  for g, s in zip(family.groups, momentum)]
         save_checkpoint(path, Checkpoint(
-            n=config.n_hidden, groups=groups, epoch=epoch_done,
-            init_seed=config.init_seed, shuffle_seed=config.shuffle_seed,
+            n=config.n_hidden, groups=family.groups, momentum=momentum,
+            epoch=epoch_done, init_seed=config.init_seed,
+            shuffle_seed=config.shuffle_seed,
             dropout_seed=config.dropout_seed, config_echo=config.echo(),
             best_epoch=best_epoch, best_accuracies=best_accs))
         return path
@@ -468,6 +467,11 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
                                  step, workspace)
                 loss_sums += np.asarray(losses) * batch[0].shape[0]
                 seen += batch[0].shape[0]
+            for g, layer in enumerate(family.groups):
+                if not (np.isfinite(layer.weight).all()
+                        and np.isfinite(layer.bias).all()):
+                    raise DivergenceError(f"non-finite parameters in group "
+                                          f"{g} at epoch {epoch}")
             accs = [evaluate(view, test_ds) for view in models]
             record = MetricsRecord(epoch=epoch, lr=lr,
                                    losses=list(loss_sums / seen),

@@ -102,7 +102,7 @@ def check_tie_invariant(steps: int = 100) -> CheckResult:
     config = _toy_config()
     family = build_family(config.n_hidden, config.input_dim, config.classes,
                           init_seed=3)
-    momentum = [MomentumState.zeros_like(g.layer) for g in family.groups]
+    momentum = [MomentumState.zeros_like(g) for g in family.groups]
     for step, batch in enumerate(_toy_batches(config, steps)):
         train_step(family, momentum, batch, config, epoch=0, step=step)
         for m in range(1, family.n + 1):
@@ -228,7 +228,7 @@ def check_canonical_vs_literal(steps: int = 50,
     config = _toy_config()
     family = build_family(config.n_hidden, config.input_dim, config.classes,
                           init_seed=13)
-    momentum = [MomentumState.zeros_like(g.layer) for g in family.groups]
+    momentum = [MomentumState.zeros_like(g) for g in family.groups]
     literal = LiteralFamily(family, config)
     worst = 0.0
     for step, batch in enumerate(_toy_batches(config, steps, seed=17)):
@@ -237,8 +237,8 @@ def check_canonical_vs_literal(steps: int = 50,
         for g, group in enumerate(family.groups):
             owner = literal.owner_layer(g)
             worst = max(worst,
-                        float(np.max(np.abs(group.layer.weight - owner.weight))),
-                        float(np.max(np.abs(group.layer.bias - owner.bias))))
+                        float(np.max(np.abs(group.weight - owner.weight))),
+                        float(np.max(np.abs(group.bias - owner.bias))))
         if worst > tol:
             return CheckResult("canonical-vs-literal", False,
                                f"diverged at step {step}: {worst:.3g}")

@@ -6,6 +6,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,23 @@ def toy_dataset(count: int, input_dim: int, classes: int,
         images[i, label % input_dim] += 0.8
     return Dataset(pixels=images.astype(np.float32),
                    labels=labels.astype(np.int64))
+
+
+def array_bytes(records) -> list[bytes]:
+    """The bytes of every array of some layers or momentum states, in
+    order, for bitwise comparison."""
+    return [a.tobytes() for r in records for a in vars(r).values()]
+
+
+def traced_peak(fn) -> int:
+    """Bytes ``fn()`` allocates at its peak, over what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def find_real_data() -> Path | None:

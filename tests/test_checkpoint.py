@@ -6,22 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsn.checkpoint import (Checkpoint, GroupState, load_checkpoint,
-                            save_checkpoint)
+from conftest import array_bytes, traced_peak
+from nsn.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from nsn.errors import FormatError, LengthError, NsnError
+from nsn.family import build_family
+from nsn.nn import DenseLayer
+from nsn.optim import MomentumState
+from nsn.train import family_from_checkpoint
 
 
 def sample_checkpoint(seed=0):
     rng = np.random.default_rng(seed)
-    groups = []
+    groups, momentum = [], []
     for shape in ((10, 4), (4, 4), (4, 4)):
-        groups.append(GroupState(
-            weight=rng.standard_normal(shape).astype(np.float32),
-            bias=rng.standard_normal(shape[0]).astype(np.float32),
-            v_weight=rng.standard_normal(shape).astype(np.float32),
-            v_bias=rng.standard_normal(shape[0]).astype(np.float32)))
-    return Checkpoint(n=2, groups=groups, epoch=17, init_seed=1,
-                      shuffle_seed=2, dropout_seed=3,
+        arrays = [rng.standard_normal(s).astype(np.float32)
+                  for s in (shape, shape[0], shape, shape[0])]
+        groups.append(DenseLayer(*arrays[:2]))
+        momentum.append(MomentumState(*arrays[2:]))
+    return Checkpoint(n=2, groups=groups, momentum=momentum, epoch=17,
+                      init_seed=1, shuffle_seed=2, dropout_seed=3,
                       config_echo='{"n_hidden": 2}', best_epoch=12,
                       best_accuracies=[0.9, 1 / 3, 0.97])
 
@@ -50,11 +53,9 @@ class TestRoundTrip:
         assert loaded.config_echo == original.config_echo
         assert loaded.best_epoch == 12
         assert loaded.best_accuracies == [0.9, 1 / 3, 0.97]
-        for a, b in zip(loaded.groups, original.groups):
-            assert a.weight.tobytes() == b.weight.tobytes()
-            assert a.bias.tobytes() == b.bias.tobytes()
-            assert a.v_weight.tobytes() == b.v_weight.tobytes()
-            assert a.v_bias.tobytes() == b.v_bias.tobytes()
+        assert array_bytes(loaded.groups) == array_bytes(original.groups)
+        assert (array_bytes(loaded.momentum)
+                == array_bytes(original.momentum))
 
     def test_save_load_save_is_stable(self, tmp_path):
         p1, p2 = tmp_path / "a.nsn", tmp_path / "b.nsn"
@@ -77,13 +78,40 @@ class TestVersion1:
         ckpt = load_checkpoint(path)
         assert (ckpt.version, ckpt.n, ckpt.epoch) == (1, 0, 4)
         assert (ckpt.best_epoch, ckpt.best_accuracies) == (-1, [])
-        assert ckpt.groups[0].v_weight[1, 2] == 10.0
+        assert ckpt.momentum[0].v_weight[1, 2] == 10.0
 
     def test_load_save_is_bitwise(self, tmp_path):
         p1, p2 = tmp_path / "a.nsn", tmp_path / "b.nsn"
         p1.write_bytes(version1_bytes())
         save_checkpoint(p2, load_checkpoint(p1))
         assert p2.read_bytes() == p1.read_bytes()
+
+
+class TestLoadMemory:
+    def test_load_holds_each_parameter_once(self, tmp_path):
+        family = build_family(2)  # the benchmark's nsn2 shapes
+        path = tmp_path / "nsn2.nsn"
+        save_checkpoint(path, Checkpoint(
+            n=2, groups=family.groups,
+            momentum=[MomentumState.zeros_like(g) for g in family.groups],
+            epoch=1, init_seed=0, shuffle_seed=1, dropout_seed=2,
+            config_echo="{}"))
+        size = path.stat().st_size
+        assert size > 9_900_000
+        peak = traced_peak(lambda: family_from_checkpoint(
+            load_checkpoint(path)))
+        assert peak < 1.25 * size
+
+    def test_huge_group_header_fails_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.nsn"
+        path.write_bytes(b"NSN1" + struct.pack("<IIIII", 2, 0, 1, 65535,
+                                              65535) + bytes(64))
+
+        def load():
+            with pytest.raises(LengthError, match="truncated"):
+                load_checkpoint(path)
+
+        assert traced_peak(load) < 1_000_000
 
 
 class TestAtomicWrite:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import nsn
-from conftest import write_idx_dir
+from conftest import array_bytes, write_idx_dir
 from nsn.checkpoint import load_checkpoint
 from nsn.cli import build_parser, load_config_file, main
 from nsn.mnist import TEST_LABELS
@@ -98,6 +98,64 @@ class TestTrainCommand:
                      "--epochs", "1", "--batch", "32"])
         assert code == 0
         assert (out / "checkpoint_final.nsn").exists()
+
+
+class TestResume:
+    def train(self, data, out, epochs, *extra):
+        return main(["train", "--data-dir", str(data), "--out-dir", str(out),
+                     "--n-hidden", "1", "--epochs", str(epochs),
+                     "--batch", "32", "--lr", "0.05", *extra])
+
+    def test_resume_matches_an_uninterrupted_run(self, tmp_path):
+        data = write_idx_dir(tmp_path / "data")
+        full, resumed = tmp_path / "full", tmp_path / "resumed"
+        assert self.train(data, full, 2) == 0
+        assert self.train(data, resumed, 1) == 0
+        assert self.train(data, resumed, 2, "--resume",
+                          str(resumed / "checkpoint_final.nsn")) == 0
+        for name in ("metrics.csv", "best.csv"):
+            assert (resumed / name).read_bytes() == (full / name).read_bytes()
+        # Not the checkpoint bytes: the config echo records the out dir.
+        for name in ("checkpoint_final.nsn", "checkpoint_best.nsn"):
+            a, b = load_checkpoint(full / name), load_checkpoint(resumed / name)
+            assert array_bytes(a.groups) == array_bytes(b.groups)
+            assert array_bytes(a.momentum) == array_bytes(b.momentum)
+            assert (a.epoch, a.best_epoch) == (b.epoch, b.best_epoch)
+
+    def test_resume_with_a_changed_l2_is_usage_error(self, tmp_path,
+                                                     capsys):
+        data = write_idx_dir(tmp_path / "data")
+        out = tmp_path / "run"
+        assert self.train(data, out, 1) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert self.train(data, out, 2, "--l2", "0.1", "--resume",
+                          str(out / "checkpoint_final.nsn")) == 2
+        assert "l2_lambda" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_stray_metrics_file_does_not_stop_a_fresh_run(self, tmp_path):
+        data = write_idx_dir(tmp_path / "data")
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "metrics.csv").write_text("epoch\nnot-a-row\n")
+        assert self.train(data, out, 1) == 0
+        rows = (out / "metrics.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["epoch", "0"]
+
+    @pytest.mark.parametrize("row", [b"x\n", b"0,\xff\n"],
+                             ids=["not-an-epoch", "not-utf8"])
+    def test_resume_over_a_malformed_metrics_row_is_usage_error(
+            self, tmp_path, capsys, row):
+        data = write_idx_dir(tmp_path / "data")
+        out = tmp_path / "run"
+        assert self.train(data, out, 1) == 0
+        with open(out / "metrics.csv", "ab") as fh:
+            fh.write(row)
+        before = (out / "metrics.csv").read_bytes()
+        assert self.train(data, out, 2, "--resume",
+                          str(out / "checkpoint_final.nsn")) == 2
+        assert "metrics.csv line 3" in capsys.readouterr().err
+        assert (out / "metrics.csv").read_bytes() == before
 
 
 class TestEvalCommands:

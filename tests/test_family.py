@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from nsn.errors import ConfigError, ConsistencyError
-from nsn.family import (CanonicalGroup, ModelFamily, build_family, copy_up,
-                        detach, init_layer, paired_average_gradients,
-                        param_count)
+from nsn.family import (ModelFamily, build_family, copy_up, detach,
+                        init_layer, paired_average_gradients, param_count)
 from nsn.nn import LayerGrads, model_forward, spec_for_params
 from nsn.verify import LiteralFamily, _toy_config
 
@@ -40,27 +39,25 @@ class TestBuildFamily:
 
     def test_ownership_covers_each_group_once_per_view(self):
         family = build_family(3, input_dim=4)
-        assert [g.id for g in family.groups] == [0, 1, 2, 3]
+        assert len({id(g) for g in family.groups}) == 4
         for m in range(4):
             seen = [id(layer) for layer in family.view(m)]
-            expected = [id(family.groups[g].layer)
-                        for g in range(m, -1, -1)]
+            expected = [id(family.groups[g]) for g in range(m, -1, -1)]
             assert seen == expected
 
     def test_init_is_seeded_and_bounded(self):
         a = build_family(2, input_dim=8, init_seed=42)
         b = build_family(2, input_dim=8, init_seed=42)
         for ga, gb in zip(a.groups, b.groups):
-            assert np.array_equal(ga.layer.weight, gb.layer.weight)
-            assert np.all(np.abs(ga.layer.weight) <= 1 / np.sqrt(8))
-            assert np.all(ga.layer.bias == 0)
+            assert np.array_equal(ga.weight, gb.weight)
+            assert np.all(np.abs(ga.weight) <= 1 / np.sqrt(8))
+            assert np.all(ga.bias == 0)
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
             build_family(0)
-        head = CanonicalGroup(0, init_layer(10, 784, np.random.default_rng()))
-        narrow = CanonicalGroup(1, init_layer(512, 784,
-                                              np.random.default_rng()))
+        head = init_layer(10, 784, np.random.default_rng())
+        narrow = init_layer(512, 784, np.random.default_rng())
         with pytest.raises(ConsistencyError, match="tying"):
             ModelFamily([head, narrow])
         with pytest.raises(ConsistencyError):
@@ -88,11 +85,11 @@ class TestParamCount:
 class TestCopyUp:
     def test_shared_storage_is_checked_noop(self):
         family = build_family(2, input_dim=4)
-        before = [g.layer.weight.copy() for g in family.groups]
+        before = [g.weight.copy() for g in family.groups]
         copy_up(family)
         copy_up(family)  # idempotent
         for group, saved in zip(family.groups, before):
-            assert np.array_equal(group.layer.weight, saved)
+            assert np.array_equal(group.weight, saved)
 
     def test_literal_double_erases_perturbation(self):
         config = _toy_config(n=2, width=4, classes=3, dropout=False)

@@ -1,13 +1,12 @@
 import csv
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import toy_dataset
+from conftest import array_bytes, toy_dataset, traced_peak
 from nsn.checkpoint import load_checkpoint
 from nsn.errors import ConfigError, ConsistencyError, DivergenceError
-from nsn.family import CanonicalGroup, ModelFamily, build_family
+from nsn.family import ModelFamily, build_family
 from nsn.mnist import Dataset, load_data_dir
 from nsn.nn import DenseLayer, model_backward, model_forward
 from nsn.optim import MomentumState, Schedule, lr_at
@@ -30,7 +29,7 @@ def toy_config(**overrides):
 def fresh_family(config):
     family = build_family(config.n_hidden, config.input_dim, config.classes,
                           config.init_seed)
-    momentum = [MomentumState.zeros_like(g.layer) for g in family.groups]
+    momentum = [MomentumState.zeros_like(g) for g in family.groups]
     return family, momentum
 
 
@@ -66,10 +65,10 @@ class TestTrainStepHandOracle:
             l2_lambda=0.0, input_keep=1.0, hidden_keep=1.0,
             input_dim=2, classes=2)
         family, momentum = fresh_family(config)
-        family.groups[0].layer.weight = np.array(self.W0, np.float32)
-        family.groups[0].layer.bias = np.array(self.B0, np.float32)
-        family.groups[1].layer.weight = np.array(self.W1, np.float32)
-        family.groups[1].layer.bias = np.array(self.B1, np.float32)
+        family.groups[0].weight = np.array(self.W0, np.float32)
+        family.groups[0].bias = np.array(self.B0, np.float32)
+        family.groups[1].weight = np.array(self.W1, np.float32)
+        family.groups[1].bias = np.array(self.B1, np.float32)
         x = np.array([[1.0, 0.5], [-0.5, 0.25]], np.float32)
         labels = np.array([0, 1])
 
@@ -77,13 +76,13 @@ class TestTrainStepHandOracle:
                             epoch=0, step=0)
 
         np.testing.assert_allclose(losses, self.EXPECTED_LOSSES, atol=1e-6)
-        np.testing.assert_allclose(family.groups[0].layer.weight,
+        np.testing.assert_allclose(family.groups[0].weight,
                                    self.EXPECTED_W0, atol=1e-6)
-        np.testing.assert_allclose(family.groups[0].layer.bias,
+        np.testing.assert_allclose(family.groups[0].bias,
                                    self.EXPECTED_B0, atol=1e-6)
-        np.testing.assert_allclose(family.groups[1].layer.weight,
+        np.testing.assert_allclose(family.groups[1].weight,
                                    self.EXPECTED_W1, atol=1e-6)
-        np.testing.assert_allclose(family.groups[1].layer.bias,
+        np.testing.assert_allclose(family.groups[1].bias,
                                    self.EXPECTED_B1, atol=1e-6)
 
 
@@ -106,7 +105,7 @@ class TestTrainStep:
             for step in range(10):
                 train_step(family, momentum, toy_batch(config, step),
                            config, epoch=0, step=step)
-            results.append([g.layer.weight.copy() for g in family.groups])
+            results.append([g.weight.copy() for g in family.groups])
         for a, b in zip(*results):
             assert np.array_equal(a, b)
 
@@ -130,19 +129,19 @@ class TestTrainStep:
         cfg_plain = toy_config(l2_lambda=0.0, **common)
         fam_l2, mom_l2 = fresh_family(cfg_l2)
         fam_plain, mom_plain = fresh_family(cfg_plain)
-        before = [g.layer.weight.copy() for g in fam_l2.groups]
+        before = [g.weight.copy() for g in fam_l2.groups]
         batch = toy_batch(cfg_l2)
         train_step(fam_l2, mom_l2, batch, cfg_l2, 0, 0)
         train_step(fam_plain, mom_plain, batch, cfg_plain, 0, 0)
-        deltas = [p.layer.weight - q.layer.weight
+        deltas = [p.weight - q.weight
                   for p, q in zip(fam_plain.groups, fam_l2.groups)]
         np.testing.assert_allclose(deltas[2], lr * lam * before[2], atol=1e-6)
         np.testing.assert_allclose(deltas[1], lr * lam * before[1] / 2,
                                    atol=1e-6)
         np.testing.assert_allclose(deltas[0], 0, atol=1e-7)
         # biases never receive the penalty
-        np.testing.assert_allclose(fam_plain.groups[2].layer.bias,
-                                   fam_l2.groups[2].layer.bias, atol=1e-7)
+        np.testing.assert_allclose(fam_plain.groups[2].bias,
+                                   fam_l2.groups[2].bias, atol=1e-7)
 
 
 def literal_reference_step(layers, momentum, batch, config, epoch, step):
@@ -174,7 +173,7 @@ class TestReferenceStep:
         x, labels = batches[-1]
         batches[-1] = (x[:3], labels[:3])  # a short last batch
         family = init_family(config)
-        momentum = [MomentumState.zeros_like(g.layer) for g in family.groups]
+        momentum = [MomentumState.zeros_like(g) for g in family.groups]
         layers = [DenseLayer(layer.weight.copy(), layer.bias.copy())
                   for layer in family.view(family.n)]
         literal_momentum = [MomentumState.zeros_like(layer)
@@ -202,9 +201,9 @@ class TestReferenceStep:
         rng = np.random.default_rng(20)
         w = rng.uniform(-0.5, 0.5, (config.classes,
                                     config.input_dim)).astype(np.float32)
-        family = ModelFamily([CanonicalGroup(id=0, layer=DenseLayer(
-            w.copy(), np.zeros(config.classes, np.float32)))])
-        momentum = [MomentumState.zeros_like(family.groups[0].layer)]
+        family = ModelFamily([DenseLayer(
+            w.copy(), np.zeros(config.classes, np.float32))])
+        momentum = [MomentumState.zeros_like(family.groups[0])]
         x, labels = toy_batch(config, seed=21)
         reference_step(family, momentum, (x, labels), config, 0, 0)
         # closed form in float64
@@ -214,7 +213,7 @@ class TestReferenceStep:
         y = np.zeros_like(p)
         y[np.arange(len(labels)), labels] = 1
         dW = (p - y).T @ x.astype(np.float64) / len(labels)
-        np.testing.assert_allclose(family.groups[0].layer.weight,
+        np.testing.assert_allclose(family.groups[0].weight,
                                    w - 0.5 * dW, atol=1e-6)
 
     def test_l2_on_every_weight_layer(self):
@@ -226,9 +225,9 @@ class TestReferenceStep:
         cfg_l2 = toy_config(l2_lambda=lam, **common)
         cfg_plain = toy_config(l2_lambda=0.0, **common)
         fam_l2, fam_plain = init_family(cfg_l2), init_family(cfg_plain)
-        before = [g.layer.weight.copy() for g in fam_l2.groups]
-        mom_l2 = [MomentumState.zeros_like(g.layer) for g in fam_l2.groups]
-        mom_plain = [MomentumState.zeros_like(g.layer)
+        before = [g.weight.copy() for g in fam_l2.groups]
+        mom_l2 = [MomentumState.zeros_like(g) for g in fam_l2.groups]
+        mom_plain = [MomentumState.zeros_like(g)
                      for g in fam_plain.groups]
         batch = toy_batch(cfg_l2, seed=22)
         reference_step(fam_l2, mom_l2, batch, cfg_l2, 0, 0)
@@ -236,7 +235,7 @@ class TestReferenceStep:
         for w0, plain, penalized in zip(before, fam_plain.groups,
                                         fam_l2.groups):
             np.testing.assert_allclose(
-                plain.layer.weight - penalized.layer.weight, lr * lam * w0,
+                plain.weight - penalized.weight, lr * lam * w0,
                 atol=1e-6)
 
 
@@ -299,11 +298,10 @@ def assert_resume_matches_uninterrupted_run(tmp_path, mode, n_hidden,
     for name in (FINAL_CHECKPOINT, BEST_CHECKPOINT):
         a = load_checkpoint(full / name)
         b = load_checkpoint(resumed / name)
-        for ga, gb in zip(a.groups, b.groups, strict=True):
-            for key in ("weight", "bias", "v_weight", "v_bias"):
-                assert (getattr(ga, key).tobytes()
-                        == getattr(gb, key).tobytes())
-        a.groups = b.groups = a.config_echo = b.config_echo = None
+        assert array_bytes(a.groups) == array_bytes(b.groups)
+        assert array_bytes(a.momentum) == array_bytes(b.momentum)
+        a.groups = b.groups = a.momentum = b.momentum = None
+        a.config_echo = b.config_echo = None
         assert a == b
 
 
@@ -334,7 +332,7 @@ class TestTrainLoop:
         assert ckpt.epoch == 3
         restored, _ = family_from_checkpoint(ckpt)
         for g, state in zip(restored.groups, result.views[-1][::-1]):
-            assert np.array_equal(g.layer.weight, state.weight)
+            assert np.array_equal(g.weight, state.weight)
 
     def test_best_tracking_is_running_max(self, tmp_path):
         config = toy_config(epochs=4, out_dir=tmp_path)
@@ -420,6 +418,22 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError, match="epoch 0"):
             train(config, bad, bad)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_parameters_that_overflow_in_the_last_update_are_divergence(
+            self, tmp_path):
+        # One step: its loss is finite, the update it makes is not.
+        config = toy_config(n_hidden=1, epochs=1, batch_size=8,
+                            schedule=Schedule(base_lr=1e300, alpha=0.0),
+                            input_keep=1.0, hidden_keep=1.0, out_dir=tmp_path)
+        ds = toy_dataset(8, config.input_dim, config.classes, seed=1)
+        with pytest.raises(DivergenceError,
+                           match="non-finite parameters in group . at "
+                                 "epoch 0"):
+            train(config, ds, ds)
+        assert not (tmp_path / BEST_CHECKPOINT).exists()
+        assert not (tmp_path / FINAL_CHECKPOINT).exists()
+        assert not (tmp_path / BEST_FILE).exists()
+
     def test_learning_progress_on_separable_toy(self, tmp_path):
         # block-mean signal is linearly separable; even a short run should
         # beat chance by a wide margin
@@ -488,21 +502,10 @@ class TestByteBackedData:
                 view, scaled, eval_batch=24)
 
 
-def traced_peak(fn) -> int:
-    """Bytes ``fn()`` allocates at its peak, over what was live before."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def step_of(mode, family, config):
     """The step of ``mode`` over ``family``, as f(batch, step, workspace),
     with the specs its workspace is built from."""
-    momentum = [MomentumState.zeros_like(g.layer) for g in family.groups]
+    momentum = [MomentumState.zeros_like(g) for g in family.groups]
     specs = [config.model_spec(m) for m in config.trained_views()]
     step_fn = train_step if mode == "nsn" else reference_step
     return specs, lambda batch, step, ws: step_fn(
@@ -540,7 +543,7 @@ class TestStepWorkspace:
             for i, batch in enumerate(batches):
                 step(batch, i, workspace)
             finals.append([a.tobytes() for g in family.groups
-                           for a in (g.layer.weight, g.layer.bias)])
+                           for a in (g.weight, g.bias)])
         assert finals[0] == finals[1]
 
     def test_evaluate_never_scales_the_whole_set(self):
