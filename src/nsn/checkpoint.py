@@ -4,14 +4,14 @@ Layout (all integers little-endian):
 
     magic   4 bytes  b"NSN1"
     u32     version (2 is written; 1 is still read)
-    u32     n (hidden layers of the base model)
+    u32     n (hidden layers of the base model): the group count - 1
     u32     group count
     per group, ordered head-first (group id 0 .. n):
         u32 rows, u32 cols
         rows*cols f32   weight, row-major
-        u32 bias length, then that many f32
+        u32 bias length (rows), then that many f32
         rows*cols f32   momentum V for the weight
-        u32 length, then that many f32   momentum V for the bias
+        u32 length (rows), then that many f32   momentum V for the bias
     u32     epoch (completed epochs)
     u64 x3  init, shuffle, dropout seeds
     version 2 only, the best epoch so far so that a resumed run keeps it:
@@ -21,11 +21,12 @@ Layout (all integers little-endian):
     u32     config echo byte length, then UTF-8 bytes
 
 Round-trips are bitwise, version 1 files included: float payloads are
-written with tobytes() and read with readinto() straight from the file into
-the arrays the loaded checkpoint holds, so a load holds each parameter once.
-Every length is checked against the bytes left in the file before anything
-is allocated for it. A version 1 file loads with the best epoch unknown
-(-1, no accuracies).
+written from the arrays themselves and read with readinto() straight into
+the arrays the loaded checkpoint holds, so neither a save nor a load copies
+a parameter. Every length is checked against the bytes left in the file
+before anything is allocated for it, and an n or a bias length the groups
+do not agree with is a FormatError. A version 1 file loads with the best
+epoch unknown (-1, no accuracies).
 
 Files are written to a temporary file in the same directory and renamed
 over the target, so a crash mid-write leaves the previous file whole.
@@ -51,7 +52,6 @@ VERSION = 2
 
 @dataclass
 class Checkpoint:
-    n: int
     groups: list[DenseLayer]  # head (group 0) first
     momentum: list[MomentumState]  # one per group
     epoch: int
@@ -64,38 +64,30 @@ class Checkpoint:
     version: int = VERSION
 
 
-def _f32_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype=np.float32).tobytes()
-
-
 def save_checkpoint(path: Path, ckpt: Checkpoint) -> None:
-    parts = [MAGIC,
-             struct.pack("<III", ckpt.version, ckpt.n, len(ckpt.groups))]
-    for layer, state in zip(ckpt.groups, ckpt.momentum, strict=True):
-        parts.append(struct.pack("<II", *layer.weight.shape))
-        parts.append(_f32_bytes(layer.weight))
-        parts.append(struct.pack("<I", layer.bias.shape[0]))
-        parts.append(_f32_bytes(layer.bias))
-        parts.append(_f32_bytes(state.v_weight))
-        parts.append(struct.pack("<I", state.v_bias.shape[0]))
-        parts.append(_f32_bytes(state.v_bias))
-    echo = ckpt.config_echo.encode("utf-8")
-    parts.append(struct.pack("<IQQQ", ckpt.epoch, ckpt.init_seed,
-                             ckpt.shuffle_seed, ckpt.dropout_seed))
-    if ckpt.version >= 2:
-        accs = ckpt.best_accuracies
-        parts.append(struct.pack(f"<iI{len(accs)}d", ckpt.best_epoch,
-                                 len(accs), *accs))
-    parts.append(struct.pack("<I", len(echo)))
-    parts.append(echo)
-    _write_atomic(Path(path), b"".join(parts))
-
-
-def _write_atomic(path: Path, data: bytes) -> None:
+    path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            fh.write(MAGIC)
+            fh.write(struct.pack("<III", ckpt.version, len(ckpt.groups) - 1,
+                                 len(ckpt.groups)))
+            for layer, state in zip(ckpt.groups, ckpt.momentum, strict=True):
+                fh.write(struct.pack("<II", *layer.weight.shape))
+                for a in (layer.weight, layer.bias, state.v_weight,
+                          state.v_bias):
+                    if a.ndim == 1:
+                        fh.write(struct.pack("<I", a.shape[0]))
+                    fh.write(np.ascontiguousarray(a, "<f4"))
+            fh.write(struct.pack("<IQQQ", ckpt.epoch, ckpt.init_seed,
+                                 ckpt.shuffle_seed, ckpt.dropout_seed))
+            if ckpt.version >= 2:
+                accs = ckpt.best_accuracies
+                fh.write(struct.pack(f"<iI{len(accs)}d", ckpt.best_epoch,
+                                     len(accs), *accs))
+            echo = ckpt.config_echo.encode("utf-8")
+            fh.write(struct.pack("<I", len(echo)))
+            fh.write(echo)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -143,13 +135,20 @@ def load_checkpoint(path: Path) -> Checkpoint:
         version, n, group_count = r.unpack("<III")
         if version not in (1, VERSION):
             raise FormatError(f"unsupported checkpoint version {version}")
+        if n + 1 != group_count:
+            raise FormatError(f"checkpoint claims n={n} but has "
+                              f"{group_count} groups")
         groups, momentum = [], []
-        for _ in range(group_count):
+        for g in range(group_count):
             rows, cols = r.unpack("<II")
-            groups.append(DenseLayer(r.f32s(rows, cols),
-                                     r.f32s(*r.unpack("<I"))))
-            momentum.append(MomentumState(r.f32s(rows, cols),
-                                          r.f32s(*r.unpack("<I"))))
+            weight, bias = r.f32s(rows, cols), r.f32s(*r.unpack("<I"))
+            v_weight, v_bias = r.f32s(rows, cols), r.f32s(*r.unpack("<I"))
+            if bias.shape != (rows,) or v_bias.shape != (rows,):
+                raise FormatError(f"group {g} has a {rows}x{cols} weight but "
+                                  f"{bias.size} biases and {v_bias.size} "
+                                  f"bias momenta")
+            groups.append(DenseLayer(weight, bias))
+            momentum.append(MomentumState(v_weight, v_bias))
         epoch, *seeds = r.unpack("<IQQQ")
         best_epoch, best_accs = -1, []
         if version >= 2:
@@ -162,7 +161,7 @@ def load_checkpoint(path: Path) -> Checkpoint:
         if r.pos != r.size:
             raise LengthError(f"checkpoint has {r.size - r.pos} "
                               f"trailing bytes")
-    return Checkpoint(n=n, groups=groups, momentum=momentum, epoch=epoch,
+    return Checkpoint(groups=groups, momentum=momentum, epoch=epoch,
                       init_seed=seeds[0], shuffle_seed=seeds[1],
                       dropout_seed=seeds[2], config_echo=echo,
                       best_epoch=best_epoch, best_accuracies=best_accs,

@@ -113,21 +113,17 @@ def copy_up(family: ModelFamily) -> None:
                 up.bias[...] = lo.bias
 
 
-def paired_average_gradients(per_model_grads: list,
-                             n: int | None = None) -> list[LayerGrads]:
+def paired_average_gradients(per_model_grads: list) -> list[LayerGrads]:
     """Collapse per-model gradients into one gradient per canonical group.
 
-    Group g < n averages model g's input-layer gradient with model g+1's
+    ``per_model_grads`` holds models 0..n, so n is its length - 1. Group
+    g < n averages model g's input-layer gradient with model g+1's
     second-layer gradient; group n (the base model's input layer) passes
     through unaveraged. The averages are formed in place, in each model's
     input-layer gradient, which is what is returned for its group, so the
     pass allocates nothing. Returns gradients indexed by group id.
     """
-    if n is None:
-        n = len(per_model_grads) - 1
-    if len(per_model_grads) != n + 1:
-        raise ConsistencyError(f"need gradients for {n + 1} models, "
-                               f"got {len(per_model_grads)}")
+    n = len(per_model_grads) - 1
     for m, grads in enumerate(per_model_grads):
         if len(grads) != m + 1:
             raise ConsistencyError(f"model {m} must have {m + 1} layer "

@@ -231,8 +231,8 @@ def train_step(family: ModelFamily, momentum: Sequence[MomentumState],
     copy_up(family)
     losses, grad_sets, workspace = _forward_backward(
         family, batch, config, epoch, step, workspace)
-    _update(family, momentum, paired_average_gradients(grad_sets, family.n),
-            config, epoch, workspace, ema=True)
+    _update(family, momentum, paired_average_gradients(grad_sets), config,
+            epoch, workspace, ema=True)
     return losses
 
 
@@ -330,9 +330,6 @@ def family_from_checkpoint(ckpt: Checkpoint) -> tuple[ModelFamily,
                                                       list[MomentumState]]:
     """The family, or a baseline stored as one, and its momentum state,
     sharing the checkpoint's arrays."""
-    if len(ckpt.groups) != ckpt.n + 1:
-        raise ConsistencyError(f"checkpoint claims n={ckpt.n} but has "
-                               f"{len(ckpt.groups)} groups")
     return ModelFamily(ckpt.groups), ckpt.momentum
 
 
@@ -390,7 +387,7 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
 
     When resuming, the checkpoint's seeds replace the config's, every other
     field but the epochs and paths must match the checkpoint's config echo,
-    the epochs may not be fewer than the checkpoint's, and its best epoch
+    its groups must have the shapes the config builds, the epochs may not be fewer than the checkpoint's, and its best epoch
     is carried on, so the run continues exactly as the uninterrupted one,
     files included. Every check runs before a data or out-dir file is
     opened. A weight or bias that is not finite after an epoch's last step
@@ -413,9 +410,12 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
             raise ConfigError(f"{resume_from} is at epoch {ckpt.epoch}; "
                               f"a run of {config.epochs} epochs cannot "
                               f"resume from it")
-        if ckpt.n != config.n_hidden:
-            raise ConsistencyError(f"checkpoint n={ckpt.n} does not match "
-                                   f"config n_hidden={config.n_hidden}")
+        shapes = [group.weight.shape for group in ckpt.groups]
+        built = ([(config.classes, config.input_dim)]
+                 + [(config.input_dim, config.input_dim)] * config.n_hidden)
+        if shapes != built:  # n_hidden = the group count - 1
+            raise ConsistencyError(f"checkpoint groups have shapes {shapes}, "
+                                   f"the config builds {built}")
         config = replace(config, init_seed=ckpt.init_seed,
                          shuffle_seed=ckpt.shuffle_seed,
                          dropout_seed=ckpt.dropout_seed)
@@ -450,7 +450,7 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
     def checkpoint_at(epoch_done: int, name: str) -> Path:
         path = out_dir / name
         save_checkpoint(path, Checkpoint(
-            n=config.n_hidden, groups=family.groups, momentum=momentum,
+            groups=family.groups, momentum=momentum,
             epoch=epoch_done, init_seed=config.init_seed,
             shuffle_seed=config.shuffle_seed,
             dropout_seed=config.dropout_seed, config_echo=config.echo(),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import ModelFamily, build_family, detach
+from .family import ModelFamily, build_family, detach, init_layer
 from .nn import (DenseLayer, ModelSpec, model_backward, model_forward,
                  numerical_gradient, spec_for_params)
 from .optim import (MomentumState, Schedule, apply_update, l2_gradient,
@@ -26,16 +26,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _random_layers(dims, rng) -> list[DenseLayer]:
-    layers = []
-    for i in range(len(dims) - 1):
-        bound = 1.0 / np.sqrt(dims[i])
-        w = rng.uniform(-bound, bound, size=(dims[i + 1], dims[i]))
-        layers.append(DenseLayer(w.astype(np.float32),
-                                 np.zeros(dims[i + 1], dtype=np.float32)))
-    return layers
 
 
 def _to64(params) -> list[DenseLayer]:
@@ -63,7 +53,8 @@ def check_gradcheck(dims_list=None, batch: int = 4,
     worst = 0.0
     for dims in dims_list or GRADCHECK_DIMS:
         rng = np.random.default_rng([7, len(dims)])
-        params = _to64(_random_layers(dims, rng))
+        params = _to64(init_layer(o, i, rng)
+                       for i, o in zip(dims, dims[1:]))
         x = rng.random((batch, dims[0]))
         labels = rng.integers(0, dims[-1], size=batch)
         spec = ModelSpec(tuple(dims))

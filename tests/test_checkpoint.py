@@ -23,7 +23,7 @@ def sample_checkpoint(seed=0):
                   for s in (shape, shape[0], shape, shape[0])]
         groups.append(DenseLayer(*arrays[:2]))
         momentum.append(MomentumState(*arrays[2:]))
-    return Checkpoint(n=2, groups=groups, momentum=momentum, epoch=17,
+    return Checkpoint(groups=groups, momentum=momentum, epoch=17,
                       init_seed=1, shuffle_seed=2, dropout_seed=3,
                       config_echo='{"n_hidden": 2}', best_epoch=12,
                       best_accuracies=[0.9, 1 / 3, 0.97])
@@ -46,7 +46,7 @@ class TestRoundTrip:
         original = sample_checkpoint()
         save_checkpoint(path, original)
         loaded = load_checkpoint(path)
-        assert loaded.n == original.n
+        assert len(loaded.groups) == len(original.groups)
         assert loaded.epoch == original.epoch
         assert (loaded.init_seed, loaded.shuffle_seed,
                 loaded.dropout_seed) == (1, 2, 3)
@@ -76,7 +76,7 @@ class TestVersion1:
         path = tmp_path / "v1.nsn"
         path.write_bytes(version1_bytes())
         ckpt = load_checkpoint(path)
-        assert (ckpt.version, ckpt.n, ckpt.epoch) == (1, 0, 4)
+        assert (ckpt.version, len(ckpt.groups), ckpt.epoch) == (1, 1, 4)
         assert (ckpt.best_epoch, ckpt.best_accuracies) == (-1, [])
         assert ckpt.momentum[0].v_weight[1, 2] == 10.0
 
@@ -87,15 +87,27 @@ class TestVersion1:
         assert p2.read_bytes() == p1.read_bytes()
 
 
+def nsn2_checkpoint() -> Checkpoint:
+    family = build_family(2)  # the benchmark's nsn2 shapes
+    return Checkpoint(
+        groups=family.groups,
+        momentum=[MomentumState.zeros_like(g) for g in family.groups],
+        epoch=1, init_seed=0, shuffle_seed=1, dropout_seed=2,
+        config_echo="{}")
+
+
+class TestSaveMemory:
+    def test_save_copies_no_array(self, tmp_path):
+        path = tmp_path / "nsn2.nsn"
+        ckpt = nsn2_checkpoint()
+        peak = traced_peak(lambda: save_checkpoint(path, ckpt))
+        assert peak < 0.25 * path.stat().st_size
+
+
 class TestLoadMemory:
     def test_load_holds_each_parameter_once(self, tmp_path):
-        family = build_family(2)  # the benchmark's nsn2 shapes
         path = tmp_path / "nsn2.nsn"
-        save_checkpoint(path, Checkpoint(
-            n=2, groups=family.groups,
-            momentum=[MomentumState.zeros_like(g) for g in family.groups],
-            epoch=1, init_seed=0, shuffle_seed=1, dropout_seed=2,
-            config_echo="{}"))
+        save_checkpoint(path, nsn2_checkpoint())
         size = path.stat().st_size
         assert size > 9_900_000
         peak = traced_peak(lambda: family_from_checkpoint(
@@ -148,6 +160,16 @@ class TestCorruption:
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="version"):
+            load_checkpoint(path)
+
+    def test_n_other_than_the_group_count_less_one_is_format_error(
+            self, tmp_path):
+        path = tmp_path / "model.nsn"
+        save_checkpoint(path, sample_checkpoint())
+        data = bytearray(path.read_bytes())
+        data[8] = 1  # n; the sample has 3 groups
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="n=1 but has 3 groups"):
             load_checkpoint(path)
 
     def test_truncation_is_length_error(self, tmp_path):

@@ -8,9 +8,11 @@ import pytest
 
 import nsn
 from conftest import array_bytes, write_idx_dir
-from nsn.checkpoint import load_checkpoint
+from nsn.checkpoint import load_checkpoint, save_checkpoint
 from nsn.cli import build_parser, load_config_file, main
 from nsn.mnist import TEST_LABELS
+from nsn.nn import DenseLayer
+from nsn.optim import MomentumState
 
 
 def run_tiny_train(tmp_path, *extra):
@@ -142,6 +144,44 @@ class TestResume:
         rows = (out / "metrics.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows] == ["epoch", "0"]
 
+    def resume_from_an_altered_checkpoint(self, tmp_path, alter) -> int:
+        """Exit code of resuming a 2-epoch run to 2 epochs from its final
+        checkpoint set back to epoch 1 and changed by ``alter``. Asserts
+        the out dir is left as it was; a resume that got as far as opening
+        it would cut its metrics.csv to one row."""
+        data = write_idx_dir(tmp_path / "data")
+        out = tmp_path / "run"
+        assert self.train(data, out, 2) == 0
+        ckpt = load_checkpoint(out / "checkpoint_final.nsn")
+        ckpt.epoch = 1
+        alter(ckpt)
+        altered = tmp_path / "altered.nsn"
+        save_checkpoint(altered, ckpt)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        code = self.train(data, out, 2, "--resume", str(altered))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        return code
+
+    def test_resume_from_a_bias_momentum_of_another_length_is_usage_error(
+            self, tmp_path, capsys):
+        def shorten(ckpt):
+            ckpt.momentum[0].v_bias = ckpt.momentum[0].v_bias[:9]
+
+        assert self.resume_from_an_altered_checkpoint(tmp_path, shorten) == 2
+        assert "10 biases and 9 bias momenta" in capsys.readouterr().err
+
+    def test_resume_from_a_head_the_config_does_not_build_is_usage_error(
+            self, tmp_path, capsys):
+        def cut_head(ckpt):
+            layer, state = ckpt.groups[0], ckpt.momentum[0]
+            ckpt.groups[0] = DenseLayer(layer.weight[:7], layer.bias[:7])
+            ckpt.momentum[0] = MomentumState(state.v_weight[:7],
+                                             state.v_bias[:7])
+
+        assert self.resume_from_an_altered_checkpoint(tmp_path, cut_head) == 2
+        assert ("shapes [(7, 784), (784, 784)], the config builds "
+                "[(10, 784), (784, 784)]") in capsys.readouterr().err
+
     @pytest.mark.parametrize("row", [b"x\n", b"0,\xff\n"],
                              ids=["not-an-epoch", "not-utf8"])
     def test_resume_over_a_malformed_metrics_row_is_usage_error(
@@ -272,7 +312,7 @@ class TestConfigFile:
         stdout = capsys.readouterr().out
         assert "epoch 1/1" in stdout  # epochs from flag, not file
         ckpt = load_checkpoint(out / "checkpoint_final.nsn")
-        assert ckpt.n == 1  # n-hidden from file
+        assert len(ckpt.groups) == 2  # n-hidden from file
 
     def test_file_may_give_the_data_and_out_dirs(self, tmp_path):
         data = write_idx_dir(tmp_path / "data", train_count=64,
@@ -329,7 +369,7 @@ class TestConfigFile:
                      "--data-dir", str(data), "--out-dir", str(out)])
         assert code == 0
         ckpt = load_checkpoint(out / "checkpoint_final.nsn")
-        assert ckpt.n == 1
+        assert len(ckpt.groups) == 2
         assert json.loads(ckpt.config_echo)["shuffle"] is False
 
     def test_internal_name_is_not_a_key(self, tmp_path, capsys):
