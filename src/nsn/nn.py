@@ -123,7 +123,8 @@ class ModelBuffers:
     adds the dropout masks (float32) and the masked layer inputs wherever
     the spec's keep probability is below 1, the backward pass's error per
     layer and the gradient set. ``draw`` is a flat float64 array the masks'
-    uniform draws go to; models that never run at once may share one.
+    uniform draws go to; models that never run at once may share one, as
+    the models of one lane of a training step do.
     """
 
     def __init__(self, spec: ModelSpec, rows: int, mode: str = "train",

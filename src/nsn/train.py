@@ -14,6 +14,18 @@ backward and L2 of the views a run trains, and the in-place update of every
 group. The two steps differ only in the copy, the pairing and the momentum
 format.
 
+A step runs on two lanes: the calling thread and one helper thread per
+process, started on first use. The per-model passes are independent until
+the pairing, and the per-group updates after it, so the base model's
+forward, backward and L2, and group n's update, run on the caller while
+models 0..n-1 and groups 0..n-1 run, in order, on the helper; a helper
+that has not started its lane by the time the caller's is done leaves it
+to the caller. Every BLAS call stays single-threaded in the thread that
+makes it, and each float operation reads the same data in the same order
+as on one thread, so results are bitwise those of running the lanes one
+after the other, on whichever threads. A step returns or raises only once
+both lanes are done.
+
 Randomness is split by purpose and keyed by position: shuffling by
 (seed, epoch), dropout by (seed, epoch, step, model). Resuming from a
 checkpoint therefore reproduces the uninterrupted run bit for bit.
@@ -27,7 +39,11 @@ time into one reused array.
 from __future__ import annotations
 
 import json
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -144,20 +160,88 @@ class StepWorkspace:
 
     One train-mode :class:`ModelBuffers` per trained model, in the order of
     ``specs``, for batches of up to ``rows`` rows (a shorter last batch uses
-    their leading rows); the float64 mask draws they share; and one scratch
-    array as large as the largest weight, for the optimizer's temporaries.
+    their leading rows). The last spec is the base model, which runs on the
+    calling thread; the models before it run in turn on the helper thread.
+    Each lane's models share one float64 array for their mask draws, so a
+    workspace holds two. One scratch array as large as the base model's
+    largest weight holds its L2 term.
     """
 
     def __init__(self, specs: Sequence[ModelSpec], rows: int):
-        draw = np.empty(rows * max(max(spec.dims[:-1]) for spec in specs))
-        self.models = [ModelBuffers(spec, rows, "train", draw=draw)
-                       for spec in specs]
-        self.scratch = np.empty(max(o * i for spec in specs
-                                    for i, o in zip(spec.dims, spec.dims[1:])),
+        *lesser, base = specs
+        self.models = _lane_buffers(lesser, rows) + _lane_buffers([base], rows)
+        self.scratch = np.empty(max(o * i for i, o in zip(base.dims,
+                                                          base.dims[1:])),
                                 np.float32)
 
     def scratch_like(self, a: np.ndarray) -> np.ndarray:
         return self.scratch[:a.size].reshape(a.shape)
+
+
+def _lane_buffers(specs: Sequence[ModelSpec], rows: int) -> list:
+    """Train-mode buffers for models that one lane runs one after another,
+    sharing one mask-draw array."""
+    if not specs:
+        return []
+    draw = np.empty(rows * max(max(spec.dims[:-1]) for spec in specs))
+    return [ModelBuffers(spec, rows, "train", draw=draw) for spec in specs]
+
+
+_helper: ThreadPoolExecutor | None = None
+
+
+def _helper_thread() -> ThreadPoolExecutor:
+    """The process's one helper thread, started on first use."""
+    global _helper
+    if _helper is None:
+        _helper = ThreadPoolExecutor(max_workers=1,
+                                     thread_name_prefix="nsn-lane")
+    return _helper
+
+
+def _forget_helper() -> None:
+    # A forked child inherits the executor but not its thread, so a task
+    # submitted to it would never run; the child starts its own.
+    global _helper
+    _helper = None
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _in_two_lanes(on_helper: Sequence[Callable[[], None]],
+                  on_caller: Callable[[], None]) -> None:
+    """Run the calls ``on_helper``, in order, on the helper thread while
+    ``on_caller`` runs on this one. Whichever thread reaches them first
+    runs them all, so if the helper has not started by the time
+    ``on_caller`` is done, this thread runs them rather than wait for it
+    to get a core; with none, the helper is not woken. Returns, or
+    raises the caller's error or else the helper's, only once both lanes
+    are done."""
+    if not on_helper:
+        on_caller()
+        return
+    claim = threading.Lock()
+
+    def run_helper_lane() -> None:
+        for call in on_helper:
+            call()
+
+    def on_helper_thread() -> None:
+        if claim.acquire(blocking=False):
+            run_helper_lane()
+
+    future = _helper_thread().submit(on_helper_thread)
+    try:
+        on_caller()
+    finally:
+        mine = claim.acquire(blocking=False)
+        if not mine:
+            wait((future,))
+    if mine:
+        run_helper_lane()
+    else:
+        future.result()
 
 
 def _forward_backward(family: ModelFamily,
@@ -167,56 +251,68 @@ def _forward_backward(family: ModelFamily,
                       ) -> tuple[list[float], list, StepWorkspace]:
     """Train-mode forward, loss and backward of each view ``config``
     trains, dropout keyed by its position among them, into ``workspace``
-    (built when None); then L2 on the base view's weight gradients.
-    Returns the losses, the gradient sets (input layer first) and the
-    workspace."""
+    (built when None); then L2 on the base view's weight gradients. The
+    base view runs on the caller, the others in order on the helper; the
+    losses are checked in view order once both are done. Returns the
+    losses, the gradient sets (input layer first) and the workspace."""
     x, labels = batch
     views = config.trained_views()
     specs = [config.model_spec(m) for m in views]
     if workspace is None:
         workspace = StepWorkspace(specs, x.shape[0])
-    losses: list[float] = []
-    grad_sets = []
-    for i, (m, spec, buffers) in enumerate(zip(views, specs, workspace.models,
-                                               strict=True)):
+    losses: list[float] = [0.0] * len(views)
+    grad_sets: list = [None] * len(views)
+
+    def run(i: int) -> None:
+        spec, buffers = specs[i], workspace.models[i]
         rng = (_dropout_rng(config, epoch, step, i)
                if spec.uses_dropout else None)
-        view = family.view(m)
+        view = family.view(views[i])
         logp, cache = model_forward(spec, view, x, "train", rng, out=buffers)
-        loss = nll_loss(logp, labels)
+        losses[i] = nll_loss(logp, labels)
+        grad_sets[i] = model_backward(spec, view, cache, labels, out=buffers)
+
+    def base_view() -> None:
+        run(len(views) - 1)
+        if config.l2_lambda > 0:
+            for grads, layer in zip(grad_sets[-1], family.view(family.n)):
+                grads.d_weight += l2_gradient(
+                    config.l2_lambda, layer.weight,
+                    out=workspace.scratch_like(layer.weight))
+
+    _in_two_lanes([partial(run, i) for i in range(len(views) - 1)],
+                  base_view)
+    for m, loss in zip(views, losses):
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch} "
                                   f"step {step} (model {m})")
-        losses.append(loss)
-        grad_sets.append(model_backward(spec, view, cache, labels,
-                                        out=buffers))
-    if config.l2_lambda > 0:
-        for grads, layer in zip(grad_sets[-1], family.view(family.n)):
-            grads.d_weight += l2_gradient(
-                config.l2_lambda, layer.weight,
-                out=workspace.scratch_like(layer.weight))
     return losses, grad_sets, workspace
 
 
 def _update(family: ModelFamily, momentum: Sequence[MomentumState],
             group_grads: Sequence, config: TrainConfig, epoch: int,
-            workspace: StepWorkspace, ema: bool) -> None:
+            ema: bool) -> None:
     """Momentum (EMA when ``ema``, else standard), then the parameter
-    update, in place for every group, head first."""
+    update, in place for every group: group n on the caller, groups
+    0..n-1 in order on the helper. Each group's temporaries go into the
+    gradient it consumes."""
     lr = lr_at(config.schedule, epoch)
     alpha = config.schedule.alpha
-    for grads, state, layer in zip(group_grads, momentum, family.groups,
-                                   strict=True):
-        for v, g in ((state.v_weight, grads.d_weight),
-                     (state.v_bias, grads.d_bias)):
+
+    def update(g: int) -> None:
+        grads, state, layer = group_grads[g], momentum[g], family.groups[g]
+        pairs = ((state.v_weight, grads.d_weight),
+                 (state.v_bias, grads.d_bias))
+        for v, grad in pairs:
             if ema:
-                momentum_nsn(v, g, alpha, out=v,
-                             scratch=workspace.scratch_like(v))
+                momentum_nsn(v, grad, alpha, out=v, scratch=grad)
             else:
-                momentum_standard(v, g, alpha, out=v)
-        for p, v in ((layer.weight, state.v_weight),
-                     (layer.bias, state.v_bias)):
-            apply_update(p, v, lr, out=p, scratch=workspace.scratch_like(v))
+                momentum_standard(v, grad, alpha, out=v)
+        for p, (v, grad) in zip((layer.weight, layer.bias), pairs):
+            apply_update(p, v, lr, out=p, scratch=grad)
+
+    _in_two_lanes([partial(update, g) for g in range(family.n)],
+                  partial(update, family.n))
 
 
 def train_step(family: ModelFamily, momentum: Sequence[MomentumState],
@@ -232,7 +328,7 @@ def train_step(family: ModelFamily, momentum: Sequence[MomentumState],
     losses, grad_sets, workspace = _forward_backward(
         family, batch, config, epoch, step, workspace)
     _update(family, momentum, paired_average_gradients(grad_sets), config,
-            epoch, workspace, ema=True)
+            epoch, ema=True)
     return losses
 
 
@@ -246,8 +342,7 @@ def reference_step(family: ModelFamily, momentum: Sequence[MomentumState],
     for the base model only."""
     losses, (grads,), workspace = _forward_backward(
         family, batch, config, epoch, step, workspace)
-    _update(family, momentum, grads[::-1], config, epoch, workspace,
-            ema=False)
+    _update(family, momentum, grads[::-1], config, epoch, ema=False)
     return losses
 
 
@@ -347,15 +442,21 @@ def init_family(config: TrainConfig) -> ModelFamily:
     return ModelFamily(layers[::-1])
 
 
+def echo_fields(echo: str) -> dict | None:
+    """A checkpoint's config echo as a dict; None when it is not one."""
+    try:
+        fields = json.loads(echo)
+    except ValueError:
+        return None
+    return fields if isinstance(fields, dict) else None
+
+
 def _changed_fields(config: TrainConfig, echo: str) -> list[str]:
     """Fields of ``config`` that differ from a checkpoint's config echo,
     leaving out those a resumed run may change: its length, its paths, and
     the seeds, which it takes from the checkpoint."""
-    try:
-        stored = json.loads(echo)
-    except ValueError:
-        stored = None
-    if not isinstance(stored, dict):
+    stored = echo_fields(echo)
+    if stored is None:
         raise ConsistencyError("checkpoint has no readable config echo")
     free = {"epochs", "data_dir", "out_dir", "init_seed", "shuffle_seed",
             "dropout_seed"}

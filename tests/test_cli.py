@@ -281,6 +281,26 @@ class TestEvalCommands:
         assert code == 2
         assert "12" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["eval"],
+                                         ["detach-eval", "--drop-layers", "1"]])
+    def test_a_head_short_of_the_echoed_classes_is_usage_error(
+            self, tmp_path, capsys, command):
+        data, out = run_tiny_train(tmp_path)
+        ckpt = load_checkpoint(out / "checkpoint_final.nsn")
+        layer, state = ckpt.groups[0], ckpt.momentum[0]
+        ckpt.groups[0] = DenseLayer(layer.weight[:7], layer.bias[:7])
+        ckpt.momentum[0] = MomentumState(state.v_weight[:7], state.v_bias[:7])
+        cut = tmp_path / "cut.nsn"
+        save_checkpoint(cut, ckpt)
+        capsys.readouterr()
+        code = main(command[:1] + ["--checkpoint", str(cut), "--data-dir",
+                                   str(data)] + command[1:])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "head of 7 rows, its config echo names 10 classes" in (
+            captured.err)
+        assert "accuracy" not in captured.out
+
     def test_drop_too_many_layers_is_usage_error(self, tmp_path, capsys):
         data, out = run_tiny_train(tmp_path)
         code = main(["detach-eval", "--checkpoint",

@@ -1,11 +1,18 @@
 import csv
+import os
+import signal
+import sys
+import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from conftest import array_bytes, toy_dataset, traced_peak
 from nsn.checkpoint import load_checkpoint
-from nsn.errors import ConfigError, ConsistencyError, DivergenceError
+from nsn.errors import (ConfigError, ConsistencyError, DivergenceError,
+                        ShapeError)
 from nsn.family import ModelFamily, build_family
 from nsn.mnist import Dataset, load_data_dir
 from nsn.nn import DenseLayer, model_backward, model_forward
@@ -14,6 +21,7 @@ from nsn.train import (BEST_CHECKPOINT, BEST_FILE, FINAL_CHECKPOINT,
                        METRICS_FILE, StepWorkspace, TrainConfig, evaluate,
                        family_from_checkpoint, init_family, reference_step,
                        train, train_reference, train_step)
+import nsn.train as train_module
 
 
 def toy_config(**overrides):
@@ -558,3 +566,199 @@ class TestStepWorkspace:
         assert peak < count * 784 * 4
         assert "images" not in ds.__dict__ and ds.pixels.dtype == np.uint8
         assert evaluate(view, ds, eval_batch=128) == want
+
+
+
+class InlineExecutor:
+    """Runs each task when it is submitted, on the submitting thread, so a
+    step's two lanes run one after the other."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def step_state(family, momentum):
+    return array_bytes(family.groups) + array_bytes(momentum)
+
+
+def run_steps(mode, config, batches):
+    """The losses of each step of ``mode`` over ``batches`` from a fresh
+    init, and the bytes of the parameters and momentum after the last."""
+    family = init_family(config)
+    momentum = [MomentumState.zeros_like(g) for g in family.groups]
+    workspace = StepWorkspace(
+        [config.model_spec(m) for m in config.trained_views()],
+        config.batch_size)
+    step_fn = train_step if mode == "nsn" else reference_step
+    losses = [step_fn(family, momentum, batch, config, 0, i, workspace)
+              for i, batch in enumerate(batches)]
+    return losses, step_state(family, momentum)
+
+
+def workspace_bytes(workspace):
+    return [a.tobytes() for buffers in workspace.models
+            for a in (*buffers.pre_acts, buffers.logp, *buffers.masks,
+                      *buffers.inputs, *buffers.d_pre, buffers.draw)
+            if a is not None] + array_bytes(
+                g for buffers in workspace.models for g in buffers.grads)
+
+
+class TestLanes:
+    def forward_threads(self, monkeypatch, hold_base):
+        """The thread idents each model's forward ran on, by model, over
+        three steps; with ``hold_base``, model n's forward first waits for
+        the helper to start its lane."""
+        config = toy_config(n_hidden=2)
+        family, momentum = fresh_family(config)
+        caller = threading.get_ident()
+        helper_started = threading.Event()
+        threads = {}
+
+        def recording_forward(spec, *args, **kwargs):
+            m = spec.n_layers - 1
+            threads.setdefault(m, set()).add(threading.get_ident())
+            if threading.get_ident() != caller:
+                helper_started.set()
+            elif m == 2 and hold_base:
+                assert helper_started.wait(10)
+            return model_forward(spec, *args, **kwargs)
+
+        monkeypatch.setattr(train_module, "model_forward", recording_forward)
+        for step in range(3):
+            helper_started.clear()
+            train_step(family, momentum, toy_batch(config, step), config,
+                       0, step)
+        return threads
+
+    def test_lesser_models_run_on_another_thread_than_the_base(
+            self, monkeypatch):
+        threads = self.forward_threads(monkeypatch, hold_base=True)
+        assert threads[2] == {threading.get_ident()}
+        assert len(threads[0] | threads[1]) == 1
+        assert threads[0].isdisjoint(threads[2])
+
+    def test_the_caller_runs_a_lane_the_busy_helper_has_not_started(
+            self, monkeypatch):
+        gate = threading.Event()
+        busy = train_module._helper_thread().submit(gate.wait, 10)
+        try:
+            threads = self.forward_threads(monkeypatch, hold_base=False)
+        finally:
+            gate.set()
+            busy.result()
+        assert set().union(*threads.values()) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("mode,n_hidden", [("nsn", 1), ("nsn", 2),
+                                               ("reference", 2)])
+    def test_threaded_lanes_equal_lanes_run_in_turn(self, monkeypatch, mode,
+                                                    n_hidden):
+        config = toy_config(mode=mode, n_hidden=n_hidden)
+        batches = [toy_batch(config, seed) for seed in range(4)]
+        x, labels = batches[-1]
+        batches[-1] = (x[:3], labels[:3])  # a short last batch
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as it can
+        try:
+            threaded = run_steps(mode, config, batches)
+        finally:
+            sys.setswitchinterval(interval)
+        gate = threading.Event()
+        busy = train_module._helper_thread().submit(gate.wait, 10)
+        try:
+            all_on_the_caller = run_steps(mode, config, batches)
+        finally:
+            gate.set()
+            busy.result()
+        monkeypatch.setattr(train_module, "ThreadPoolExecutor",
+                            InlineExecutor)
+        monkeypatch.setattr(train_module, "_helper", None)
+        in_turn = run_steps(mode, config, batches)
+        assert threaded == in_turn == all_on_the_caller
+
+    def test_a_nan_in_the_head_raises_model_0s_divergence_after_both_lanes(
+            self, monkeypatch):
+        config = toy_config(n_hidden=2)
+        family, momentum = fresh_family(config)
+        train_step(family, momentum, toy_batch(config), config, 0, 0)
+        family.groups[0].weight[0, 0] = np.nan
+        workspace = StepWorkspace(
+            [config.model_spec(m) for m in config.trained_views()],
+            config.batch_size)
+        backward_done = []
+
+        def counting_backward(*args, **kwargs):
+            grads = model_backward(*args, **kwargs)
+            backward_done.append(threading.get_ident())
+            return grads
+
+        monkeypatch.setattr(train_module, "model_backward", counting_backward)
+        before = step_state(family, momentum)
+        with pytest.raises(DivergenceError,
+                           match=r"^non-finite loss at epoch 0 step 1 "
+                                 r"\(model 0\)$"):
+            train_step(family, momentum, toy_batch(config, 1), config, 0, 1,
+                       workspace)
+        at_raise = step_state(family, momentum) + workspace_bytes(workspace)
+        assert len(backward_done) == 3  # every model's lane had finished
+        assert step_state(family, momentum) == before  # no update ran
+        time.sleep(0.05)
+        assert (step_state(family, momentum)
+                + workspace_bytes(workspace)) == at_raise
+
+    def test_an_error_in_the_helper_lane_is_raised_by_the_step(
+            self, monkeypatch):
+        config = toy_config(n_hidden=2)
+        family, momentum = fresh_family(config)
+        caller = threading.get_ident()
+        helper_started = threading.Event()
+        base_done = []
+
+        def failing_forward(spec, *args, **kwargs):
+            if threading.get_ident() != caller:
+                helper_started.set()
+                raise ShapeError("helper lane failed")
+            assert helper_started.wait(10)
+            result = model_forward(spec, *args, **kwargs)
+            base_done.append(spec.n_layers - 1)
+            return result
+
+        monkeypatch.setattr(train_module, "model_forward", failing_forward)
+        before = step_state(family, momentum)
+        with pytest.raises(ShapeError, match="helper lane failed"):
+            train_step(family, momentum, toy_batch(config), config, 0, 0)
+        assert base_done == [2]
+        assert step_state(family, momentum) == before
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_a_step(self):
+        config = toy_config(n_hidden=2)
+        family, momentum = fresh_family(config)
+        train_step(family, momentum, toy_batch(config), config, 0, 0)
+        pid = os.fork()
+        if pid == 0:  # the child never returns into the test runner
+            code = 1
+            try:
+                train_step(family, momentum, toy_batch(config, 1), config,
+                           0, 1)
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's step did not finish")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
