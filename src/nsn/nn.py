@@ -121,14 +121,13 @@ class ModelBuffers:
 
     Eval mode holds the pre-activations and log-probabilities. Train mode
     adds the dropout masks (float32) and the masked layer inputs wherever
-    the spec's keep probability is below 1, the backward pass's error per
-    layer and the gradient set. ``draw`` is a flat float64 array the masks'
-    uniform draws go to; models that never run at once may share one, as
-    the models of one lane of a training step do.
+    the spec's keep probability is below 1, with one flat float64 array
+    ``draw`` for the masks' uniform draws (None when no layer is masked),
+    and the backward pass's error per layer and the gradient set.
     """
 
     def __init__(self, spec: ModelSpec, rows: int, mode: str = "train",
-                 dtype=np.float32, draw: np.ndarray | None = None):
+                 dtype=np.float32):
         if mode not in ("train", "eval"):
             raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
         dims = spec.dims
@@ -144,9 +143,8 @@ class ModelBuffers:
                       for d, keep in zip(dims, keeps)]
         self.inputs = [np.empty((rows, d), dtype) if keep < 1.0 else None
                        for d, keep in zip(dims, keeps)]
-        if draw is None and min(keeps) < 1.0:
-            draw = np.empty(rows * max(dims[:-1]))
-        self.draw = draw
+        self.draw = (np.empty(rows * max(dims[:-1])) if min(keeps) < 1.0
+                     else None)
         self.d_pre = ([np.empty((rows, d), dtype) for d in dims[1:]]
                       if train else [])
         self.grads: GradientSet = (

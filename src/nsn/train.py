@@ -158,33 +158,22 @@ def _dropout_rng(config: TrainConfig, epoch: int, step: int,
 class StepWorkspace:
     """Every array a training step writes, allocated once for a run.
 
-    One train-mode :class:`ModelBuffers` per trained model, in the order of
-    ``specs``, for batches of up to ``rows`` rows (a shorter last batch uses
-    their leading rows). The last spec is the base model, which runs on the
-    calling thread; the models before it run in turn on the helper thread.
-    Each lane's models share one float64 array for their mask draws, so a
-    workspace holds two. One scratch array as large as the base model's
-    largest weight holds its L2 term.
+    One train-mode :class:`ModelBuffers` per model ``config`` trains, in
+    the order of ``config.trained_views()``, for batches of up to ``rows``
+    rows (a shorter last batch uses their leading rows); no two models
+    share an array. One scratch array as large as the base model's largest
+    weight holds its L2 term.
     """
 
-    def __init__(self, specs: Sequence[ModelSpec], rows: int):
-        *lesser, base = specs
-        self.models = _lane_buffers(lesser, rows) + _lane_buffers([base], rows)
-        self.scratch = np.empty(max(o * i for i, o in zip(base.dims,
-                                                          base.dims[1:])),
+    def __init__(self, config: TrainConfig, rows: int):
+        self.models = [ModelBuffers(config.model_spec(m), rows)
+                       for m in config.trained_views()]
+        dims = self.models[-1].spec.dims
+        self.scratch = np.empty(max(o * i for i, o in zip(dims, dims[1:])),
                                 np.float32)
 
     def scratch_like(self, a: np.ndarray) -> np.ndarray:
         return self.scratch[:a.size].reshape(a.shape)
-
-
-def _lane_buffers(specs: Sequence[ModelSpec], rows: int) -> list:
-    """Train-mode buffers for models that one lane runs one after another,
-    sharing one mask-draw array."""
-    if not specs:
-        return []
-    draw = np.empty(rows * max(max(spec.dims[:-1]) for spec in specs))
-    return [ModelBuffers(spec, rows, "train", draw=draw) for spec in specs]
 
 
 _helper: ThreadPoolExecutor | None = None
@@ -248,23 +237,23 @@ def _forward_backward(family: ModelFamily,
                       batch: tuple[np.ndarray, np.ndarray],
                       config: TrainConfig, epoch: int, step: int,
                       workspace: StepWorkspace | None
-                      ) -> tuple[list[float], list, StepWorkspace]:
+                      ) -> tuple[list[float], list]:
     """Train-mode forward, loss and backward of each view ``config``
     trains, dropout keyed by its position among them, into ``workspace``
     (built when None); then L2 on the base view's weight gradients. The
     base view runs on the caller, the others in order on the helper; the
     losses are checked in view order once both are done. Returns the
-    losses, the gradient sets (input layer first) and the workspace."""
+    losses and the gradient sets (input layer first)."""
     x, labels = batch
     views = config.trained_views()
-    specs = [config.model_spec(m) for m in views]
     if workspace is None:
-        workspace = StepWorkspace(specs, x.shape[0])
+        workspace = StepWorkspace(config, x.shape[0])
     losses: list[float] = [0.0] * len(views)
     grad_sets: list = [None] * len(views)
 
     def run(i: int) -> None:
-        spec, buffers = specs[i], workspace.models[i]
+        buffers = workspace.models[i]
+        spec = buffers.spec
         rng = (_dropout_rng(config, epoch, step, i)
                if spec.uses_dropout else None)
         view = family.view(views[i])
@@ -286,7 +275,7 @@ def _forward_backward(family: ModelFamily,
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch} "
                                   f"step {step} (model {m})")
-    return losses, grad_sets, workspace
+    return losses, grad_sets
 
 
 def _update(family: ModelFamily, momentum: Sequence[MomentumState],
@@ -325,7 +314,7 @@ def train_step(family: ModelFamily, momentum: Sequence[MomentumState],
     buffers for models 0..n; a fresh one is built when none is given.
     """
     copy_up(family)
-    losses, grad_sets, workspace = _forward_backward(
+    losses, grad_sets = _forward_backward(
         family, batch, config, epoch, step, workspace)
     _update(family, momentum, paired_average_gradients(grad_sets), config,
             epoch, ema=True)
@@ -340,7 +329,7 @@ def reference_step(family: ModelFamily, momentum: Sequence[MomentumState],
     its own gradients, L2 on every weight layer, standard momentum.
     Arguments are as for :func:`train_step`; ``workspace`` holds buffers
     for the base model only."""
-    losses, (grads,), workspace = _forward_backward(
+    losses, (grads,) = _forward_backward(
         family, batch, config, epoch, step, workspace)
     _update(family, momentum, grads[::-1], config, epoch, ema=False)
     return losses
@@ -488,11 +477,13 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
 
     When resuming, the checkpoint's seeds replace the config's, every other
     field but the epochs and paths must match the checkpoint's config echo,
-    its groups must have the shapes the config builds, the epochs may not be fewer than the checkpoint's, and its best epoch
-    is carried on, so the run continues exactly as the uninterrupted one,
-    files included. Every check runs before a data or out-dir file is
-    opened. A weight or bias that is not finite after an epoch's last step
-    is a :class:`DivergenceError`, before that epoch is evaluated or saved.
+    its groups must have the shapes the config builds, the epochs may not
+    be fewer than the checkpoint's, and its best epoch is carried on, so
+    the run continues exactly as the uninterrupted one, files included.
+    Every check runs before an out-dir file is opened, and all but that of
+    the batch size against the training set before a data file is. A
+    weight or bias that is not finite after an epoch's last step is a
+    :class:`DivergenceError`, before that epoch is evaluated or saved.
     """
     if config.mode != mode:
         raise ConfigError(f"expected a config with mode={mode!r}, "
@@ -537,6 +528,9 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
         if config.data_dir is None:
             raise ConfigError("no datasets given and no data_dir configured")
         train_ds, test_ds = load_data_dir(config.data_dir)
+    if config.batch_size > train_ds.count:
+        raise ConfigError(f"batch_size {config.batch_size} exceeds the "
+                          f"{train_ds.count} training samples")
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -544,8 +538,7 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
                      seed=config.shuffle_seed)
     writer = _MetricsWriter(out_dir, n_models, start_epoch)
     history: list[MetricsRecord] = []
-    workspace = StepWorkspace([config.model_spec(m) for m in views],
-                              config.batch_size)
+    workspace = StepWorkspace(config, config.batch_size)
     step_fn = train_step if mode == "nsn" else reference_step
 
     def checkpoint_at(epoch_done: int, name: str) -> Path:

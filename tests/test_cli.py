@@ -91,6 +91,17 @@ class TestTrainCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_a_batch_larger_than_the_training_set_writes_no_out_dir(
+            self, tmp_path, capsys):
+        data = write_idx_dir(tmp_path / "data", train_count=64,
+                             test_count=32)
+        out = tmp_path / "out"
+        code = main(["train", "--data-dir", str(data), "--out-dir", str(out),
+                     "--n-hidden", "1", "--epochs", "1", "--batch", "100"])
+        assert code == 2
+        assert "batch_size 100 exceeds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_ref_runs(self, tmp_path, capsys):
         data = write_idx_dir(tmp_path / "data", train_count=64,
                              test_count=32)
@@ -181,6 +192,22 @@ class TestResume:
         assert self.resume_from_an_altered_checkpoint(tmp_path, cut_head) == 2
         assert ("shapes [(7, 784), (784, 784)], the config builds "
                 "[(10, 784), (784, 784)]") in capsys.readouterr().err
+
+    def test_resume_onto_too_few_samples_for_a_batch_leaves_the_out_dir(
+            self, tmp_path, capsys):
+        data = write_idx_dir(tmp_path / "data")
+        out = tmp_path / "run"
+        assert self.train(data, out, 3) == 0
+        ckpt = load_checkpoint(out / "checkpoint_final.nsn")
+        ckpt.epoch = 1
+        resume_from = tmp_path / "epoch1.nsn"
+        save_checkpoint(resume_from, ckpt)
+        small = write_idx_dir(tmp_path / "small", train_count=16,
+                              test_count=16)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert self.train(small, out, 3, "--resume", str(resume_from)) == 2
+        assert "batch_size 32 exceeds" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("row", [b"x\n", b"0,\xff\n"],
                              ids=["not-an-epoch", "not-utf8"])
@@ -399,6 +426,15 @@ class TestConfigFile:
                      "--data-dir", str(tmp_path), "--out-dir", str(tmp_path)])
         assert code == 2
         assert "unknown config keys: shuffle" in capsys.readouterr().err
+
+    def test_a_file_that_is_not_utf8_is_usage_error(self, tmp_path,
+                                                    capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"epochs=1\n\xff\xfe=2\n")
+        code = main(["train", "--config", str(cfg),
+                     "--data-dir", str(tmp_path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert f"{cfg} is not a UTF-8 text file" in capsys.readouterr().err
 
     def test_parse_and_comments(self, tmp_path):
         cfg = tmp_path / "run.cfg"

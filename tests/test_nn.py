@@ -318,6 +318,15 @@ class TestModelBuffers:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    def test_a_draw_array_only_where_a_mask_is_drawn(self):
+        dropout = nn.ModelSpec((6, 5, 4), input_keep=0.8, hidden_keep=0.5)
+        assert nn.ModelBuffers(dropout, 3).draw.shape == (3 * 6,)
+        assert nn.ModelBuffers(dropout, 3, "eval").draw is None
+        assert nn.ModelBuffers(nn.ModelSpec((6, 5, 4)), 3).draw is None
+        # a hidden keep with no hidden layer masks nothing
+        no_hidden = nn.ModelSpec((6, 4), hidden_keep=0.5)
+        assert nn.ModelBuffers(no_hidden, 3).draw is None
+
     def test_buffers_too_small_for_the_batch_are_rejected(self):
         params = random_layers((6, 4))
         spec = nn.spec_for_params(params)

@@ -186,8 +186,7 @@ class TestReferenceStep:
                   for layer in family.view(family.n)]
         literal_momentum = [MomentumState.zeros_like(layer)
                             for layer in layers]
-        workspace = StepWorkspace([config.model_spec(config.n_hidden)],
-                                  config.batch_size)
+        workspace = StepWorkspace(config, config.batch_size)
         for step, batch in enumerate(batches):
             reference_step(family, momentum, batch, config, 0, step,
                            workspace)
@@ -510,14 +509,22 @@ class TestByteBackedData:
                 view, scaled, eval_batch=24)
 
 
+def workspace_arrays(workspace):
+    """Every array of ``workspace``, the L2 scratch last."""
+    return [a for buffers in workspace.models
+            for a in (*buffers.pre_acts, buffers.logp, *buffers.masks,
+                      *buffers.inputs, *buffers.d_pre, buffers.draw,
+                      *(x for g in buffers.grads
+                        for x in (g.d_weight, g.d_bias)))
+            if a is not None] + [workspace.scratch]
+
+
 def step_of(mode, family, config):
-    """The step of ``mode`` over ``family``, as f(batch, step, workspace),
-    with the specs its workspace is built from."""
+    """The step of ``mode`` over ``family``, as f(batch, step, workspace)."""
     momentum = [MomentumState.zeros_like(g) for g in family.groups]
-    specs = [config.model_spec(m) for m in config.trained_views()]
     step_fn = train_step if mode == "nsn" else reference_step
-    return specs, lambda batch, step, ws: step_fn(
-        family, momentum, batch, config, 0, step, ws)
+    return lambda batch, step, ws: step_fn(family, momentum, batch, config,
+                                           0, step, ws)
 
 
 class TestStepWorkspace:
@@ -526,8 +533,8 @@ class TestStepWorkspace:
                                                                   mode):
         config = TrainConfig(mode=mode, n_hidden=2, batch_size=128)
         family = build_family(2, init_seed=1)
-        specs, step = step_of(mode, family, config)
-        workspace = StepWorkspace(specs, config.batch_size)
+        step = step_of(mode, family, config)
+        workspace = StepWorkspace(config, config.batch_size)
         rng = np.random.default_rng(2)
         batch = (rng.random((128, 784), dtype=np.float32),
                  rng.integers(0, 10, size=128))
@@ -538,21 +545,32 @@ class TestStepWorkspace:
     @pytest.mark.parametrize("mode", ["nsn", "reference"])
     def test_one_workspace_for_every_step_equals_a_fresh_one_per_step(
             self, mode):
-        config = toy_config(mode=mode, n_hidden=2)
-        batches = [toy_batch(config, seed) for seed in range(4)]
-        x, labels = batches[-1]
-        batches[-1] = (x[:3], labels[:3])  # a short last batch
-        finals = []
-        for shared in (True, False):
-            family = build_family(2, config.input_dim, config.classes, 5)
-            specs, step = step_of(mode, family, config)
-            workspace = (StepWorkspace(specs, config.batch_size) if shared
-                         else None)
-            for i, batch in enumerate(batches):
-                step(batch, i, workspace)
-            finals.append([a.tobytes() for g in family.groups
-                           for a in (g.weight, g.bias)])
-        assert finals[0] == finals[1]
+        # at n = 3 two models with dropout run on the helper lane
+        for n_hidden in (2, 3):
+            config = toy_config(mode=mode, n_hidden=n_hidden)
+            batches = [toy_batch(config, seed) for seed in range(4)]
+            x, labels = batches[-1]
+            batches[-1] = (x[:3], labels[:3])  # a short last batch
+            finals = []
+            for shared in (True, False):
+                family = init_family(config)
+                step = step_of(mode, family, config)
+                workspace = (StepWorkspace(config, config.batch_size)
+                             if shared else None)
+                for i, batch in enumerate(batches):
+                    step(batch, i, workspace)
+                finals.append(array_bytes(family.groups))
+            assert finals[0] == finals[1]
+
+    @pytest.mark.parametrize("mode,n_hidden",
+                             [("nsn", n) for n in range(1, 5)]
+                             + [("reference", n) for n in range(3)])
+    def test_no_two_arrays_share_memory(self, mode, n_hidden):
+        arrays = workspace_arrays(StepWorkspace(
+            toy_config(mode=mode, n_hidden=n_hidden), 8))
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
 
     def test_evaluate_never_scales_the_whole_set(self):
         rng = np.random.default_rng(3)
@@ -594,9 +612,7 @@ def run_steps(mode, config, batches):
     init, and the bytes of the parameters and momentum after the last."""
     family = init_family(config)
     momentum = [MomentumState.zeros_like(g) for g in family.groups]
-    workspace = StepWorkspace(
-        [config.model_spec(m) for m in config.trained_views()],
-        config.batch_size)
+    workspace = StepWorkspace(config, config.batch_size)
     step_fn = train_step if mode == "nsn" else reference_step
     losses = [step_fn(family, momentum, batch, config, 0, i, workspace)
               for i, batch in enumerate(batches)]
@@ -604,11 +620,7 @@ def run_steps(mode, config, batches):
 
 
 def workspace_bytes(workspace):
-    return [a.tobytes() for buffers in workspace.models
-            for a in (*buffers.pre_acts, buffers.logp, *buffers.masks,
-                      *buffers.inputs, *buffers.d_pre, buffers.draw)
-            if a is not None] + array_bytes(
-                g for buffers in workspace.models for g in buffers.grads)
+    return [a.tobytes() for a in workspace_arrays(workspace)]
 
 
 class TestLanes:
@@ -657,6 +669,7 @@ class TestLanes:
         assert set().union(*threads.values()) == {threading.get_ident()}
 
     @pytest.mark.parametrize("mode,n_hidden", [("nsn", 1), ("nsn", 2),
+                                               ("nsn", 3), ("reference", 0),
                                                ("reference", 2)])
     def test_threaded_lanes_equal_lanes_run_in_turn(self, monkeypatch, mode,
                                                     n_hidden):
@@ -689,9 +702,7 @@ class TestLanes:
         family, momentum = fresh_family(config)
         train_step(family, momentum, toy_batch(config), config, 0, 0)
         family.groups[0].weight[0, 0] = np.nan
-        workspace = StepWorkspace(
-            [config.model_spec(m) for m in config.trained_views()],
-            config.batch_size)
+        workspace = StepWorkspace(config, config.batch_size)
         backward_done = []
 
         def counting_backward(*args, **kwargs):
