@@ -10,6 +10,7 @@ W <- W - lr*V.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +27,15 @@ class Schedule:
     alpha: float = 0.9
 
     def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
+        if not 0 < self.base_lr < math.inf:
+            raise ConfigError(f"base_lr must be finite and positive, "
+                              f"got {self.base_lr}")
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigError(f"alpha must be in [0, 1), got {self.alpha}")
         if self.decay_every < 1:
             raise ConfigError(f"decay_every must be >= 1, got {self.decay_every}")
-        if self.decay_factor <= 0:
-            raise ConfigError(f"decay_factor must be positive, "
+        if not 0 < self.decay_factor < math.inf:
+            raise ConfigError(f"decay_factor must be finite and positive, "
                               f"got {self.decay_factor}")
 
 

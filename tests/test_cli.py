@@ -102,6 +102,22 @@ class TestTrainCommand:
         assert "batch_size 100 exceeds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--lr", "nan", "base_lr"),
+        ("--decay-factor", "nan", "decay_factor"),
+        ("--l2", "inf", "l2_lambda")])
+    def test_a_non_finite_hyperparameter_writes_no_out_dir(
+            self, tmp_path, capsys, flag, value, name):
+        data = write_idx_dir(tmp_path / "data", train_count=64,
+                             test_count=32)
+        out = tmp_path / "out"
+        code = main(["train", "--data-dir", str(data), "--out-dir", str(out),
+                     "--n-hidden", "1", "--epochs", "2", "--decay-every",
+                     "1", flag, value])
+        assert code == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_ref_runs(self, tmp_path, capsys):
         data = write_idx_dir(tmp_path / "data", train_count=64,
                              test_count=32)

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import signal
 import sys
@@ -15,12 +16,14 @@ from nsn.errors import (ConfigError, ConsistencyError, DivergenceError,
                         ShapeError)
 from nsn.family import ModelFamily, build_family
 from nsn.mnist import Dataset, load_data_dir
-from nsn.nn import DenseLayer, model_backward, model_forward
+from nsn.nn import (DenseLayer, ModelBuffers, model_backward, model_forward,
+                    spec_for_params)
 from nsn.optim import MomentumState, Schedule, lr_at
-from nsn.train import (BEST_CHECKPOINT, BEST_FILE, FINAL_CHECKPOINT,
-                       METRICS_FILE, StepWorkspace, TrainConfig, evaluate,
-                       family_from_checkpoint, init_family, reference_step,
-                       train, train_reference, train_step)
+from nsn.train import (BEST_CHECKPOINT, BEST_FILE, EVAL_BATCH,
+                       FINAL_CHECKPOINT, METRICS_FILE, StepWorkspace,
+                       TrainConfig, evaluate, family_from_checkpoint,
+                       init_family, reference_step, train, train_reference,
+                       train_step)
 import nsn.train as train_module
 
 
@@ -476,6 +479,16 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=name):
                 toy_config(**{name: bad})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["base_lr", "decay_factor",
+                                      "l2_lambda"])
+    def test_non_finite_hyperparameters_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            if name == "l2_lambda":
+                toy_config(l2_lambda=value)
+            else:
+                toy_config(schedule=Schedule(**{name: value}))
+
     def test_reference_allows_zero_hidden(self):
         assert toy_config(mode="reference", n_hidden=0).n_hidden == 0
 
@@ -753,23 +766,199 @@ class TestLanes:
         config = toy_config(n_hidden=2)
         family, momentum = fresh_family(config)
         train_step(family, momentum, toy_batch(config), config, 0, 0)
-        pid = os.fork()
-        if pid == 0:  # the child never returns into the test runner
-            code = 1
-            try:
-                train_step(family, momentum, toy_batch(config, 1), config,
-                           0, 1)
-                code = 0
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 30
-        while True:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child's step did not finish")
-            time.sleep(0.01)
-        assert os.waitstatus_to_exitcode(status) == 0
+        assert exit_code_in_forked_child(
+            lambda: train_step(family, momentum, toy_batch(config, 1),
+                               config, 0, 1)) == 0
+
+
+def exit_code_in_forked_child(fn):
+    """Exit code of a forked child that runs ``fn``: 0 when it returns,
+    1 when it raises; the test fails if it has not exited in 30 s."""
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the test runner
+        code = 1
+        try:
+            fn()
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish")
+        time.sleep(0.01)
+
+
+EVAL_ROWS = 16  # rows a chunk in the two-lane evaluation tests
+
+
+def eval_case(count, kind):
+    """A two-hidden-layer model and a 12-wide, 5-class set of ``count``
+    rows whose pixels are bytes or already-scaled floats."""
+    rng = np.random.default_rng(count)
+    pixels = rng.integers(0, 256, (count, 12), np.uint8)
+    if kind == "float":
+        pixels = pixels.astype(np.float32) / np.float32(255.0)
+    ds = Dataset(pixels=pixels, labels=rng.integers(0, 5, count))
+    return build_family(2, input_dim=12, classes=5, init_seed=31).view(2), ds
+
+
+def accuracy_chunk_by_chunk(view, ds, rows):
+    """Accuracy of ``view`` on ``ds`` in chunks of ``rows``, one after the
+    other on this thread, each forward into fresh arrays."""
+    spec = spec_for_params(view)
+    correct = 0
+    for start in range(0, ds.count, rows):
+        logp, _ = model_forward(spec, view, ds.rows(slice(start,
+                                                          start + rows)))
+        correct += int(np.sum(np.argmax(logp, axis=1)
+                              == ds.labels[start:start + rows]))
+    return correct / ds.count
+
+
+class TestEvaluateLanes:
+    def record_forwards(self, monkeypatch, hold_caller=False,
+                        fail_on_helper=False):
+        """Route evaluate's forward passes through a recorder and return
+        the (thread ident, rows) list it appends each finished pass to.
+        With ``hold_caller``, the caller's passes first wait for the
+        helper to start one; with ``fail_on_helper``, the helper's raise."""
+        caller = threading.get_ident()
+        helper_started = threading.Event()
+        calls = []
+
+        def recording_forward(spec, params, x, *args, **kwargs):
+            if threading.get_ident() != caller:
+                helper_started.set()
+                if fail_on_helper:
+                    raise ShapeError("helper lane failed")
+            elif hold_caller:
+                assert helper_started.wait(10)
+            result = model_forward(spec, params, x, *args, **kwargs)
+            calls.append((threading.get_ident(), x.shape[0]))
+            return result
+
+        monkeypatch.setattr(train_module, "model_forward", recording_forward)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["bytes", "float"])
+    # 1, 2 and 3 chunks, and 3 whose last is short
+    @pytest.mark.parametrize("count", [16, 32, 48, 45])
+    def test_two_lanes_equal_the_chunks_run_in_turn(self, monkeypatch, kind,
+                                                    count):
+        view, ds = eval_case(count, kind)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as it can
+        try:
+            threaded = evaluate(view, ds, EVAL_ROWS)
+        finally:
+            sys.setswitchinterval(interval)
+        calls = self.record_forwards(monkeypatch)
+        monkeypatch.setattr(train_module, "ThreadPoolExecutor",
+                            InlineExecutor)
+        monkeypatch.setattr(train_module, "_helper", None)
+        in_turn = evaluate(view, ds, EVAL_ROWS)
+        assert threaded == in_turn == accuracy_chunk_by_chunk(view, ds,
+                                                              EVAL_ROWS)
+        assert sorted(rows for _, rows in calls) == sorted(
+            len(range(count)[start:start + EVAL_ROWS])
+            for start in range(0, count, EVAL_ROWS))
+
+    def test_every_chunk_is_claimed_once_under_frequent_switches(
+            self, monkeypatch):
+        view, ds = eval_case(1000, "bytes")
+        rows = 4
+        first_rows = []
+
+        def recording_forward(spec, params, x, *args, **kwargs):
+            first_rows.append(x[0].tobytes())
+            return model_forward(spec, params, x, *args, **kwargs)
+
+        monkeypatch.setattr(train_module, "model_forward", recording_forward)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            acc = evaluate(view, ds, rows)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(first_rows) == sorted(
+            ds.rows(start).tobytes() for start in range(0, ds.count, rows))
+        assert acc == accuracy_chunk_by_chunk(view, ds, rows)
+
+    def test_chunks_run_on_both_threads(self, monkeypatch):
+        view, ds = eval_case(48, "bytes")
+        want = accuracy_chunk_by_chunk(view, ds, EVAL_ROWS)
+        calls = self.record_forwards(monkeypatch, hold_caller=True)
+        assert evaluate(view, ds, EVAL_ROWS) == want
+        threads = {thread for thread, _ in calls}
+        assert len(threads) == 2 and threading.get_ident() in threads
+        assert len(calls) == 3
+
+    def test_the_caller_runs_every_chunk_when_the_helper_is_busy(
+            self, monkeypatch):
+        view, ds = eval_case(48, "bytes")
+        want = accuracy_chunk_by_chunk(view, ds, EVAL_ROWS)
+        calls = self.record_forwards(monkeypatch)
+        gate = threading.Event()
+        busy = train_module._helper_thread().submit(gate.wait, 10)
+        try:
+            acc = evaluate(view, ds, EVAL_ROWS)
+        finally:
+            gate.set()
+            busy.result()
+        assert acc == want
+        assert calls == [(threading.get_ident(), EVAL_ROWS)] * 3
+
+    def test_an_error_in_the_helper_lane_is_raised_by_evaluate(
+            self, monkeypatch):
+        view, ds = eval_case(48, "bytes")
+        calls = self.record_forwards(monkeypatch, hold_caller=True,
+                                     fail_on_helper=True)
+        with pytest.raises(ShapeError, match="helper lane failed"):
+            evaluate(view, ds, EVAL_ROWS)
+        # the caller ran both chunks the failed helper left before raising
+        assert calls == [(threading.get_ident(), EVAL_ROWS)] * 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_evaluates(self):
+        view, ds = eval_case(48, "bytes")
+        want = evaluate(view, ds, EVAL_ROWS)  # the helper has started
+
+        def child():
+            assert evaluate(view, ds, EVAL_ROWS) == want
+
+        assert exit_code_in_forked_child(child) == 0
+
+    def test_a_one_chunk_set_wakes_no_helper(self, monkeypatch):
+        submitted = []
+
+        class RecordingExecutor(InlineExecutor):
+            def submit(self, fn, *args):
+                submitted.append(fn)
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(train_module, "_helper_thread",
+                            RecordingExecutor)
+        evaluate(*eval_case(EVAL_ROWS, "bytes"), EVAL_ROWS)
+        assert submitted == []
+        evaluate(*eval_case(EVAL_ROWS + 1, "bytes"), EVAL_ROWS)
+        assert len(submitted) == 1
+
+    def test_two_lanes_hold_what_one_2048_row_set_held(self):
+        rng = np.random.default_rng(5)
+        count = 5 * EVAL_BATCH + 100
+        ds = Dataset(pixels=rng.integers(0, 256, (count, 784), np.uint8),
+                     labels=rng.integers(0, 10, count))
+        view = build_family(2, init_seed=6).view(2)
+        one_set = ModelBuffers(spec_for_params(view), 2048, "eval")
+        held = (sum(a.nbytes for a in (*one_set.pre_acts, one_set.logp))
+                + 2048 * 784 * 4)  # and its scaled rows
+        evaluate(view, ds)  # the helper thread is started
+        peak = traced_peak(lambda: evaluate(view, ds))
+        # a pass's log-softmax and argmax temporaries, under 64 bytes a row
+        assert peak < held + 2048 * 64
