@@ -26,7 +26,7 @@ class ConfigError(NsnError, ValueError):
 
 
 class ConsistencyError(NsnError, RuntimeError):
-    """Two structures that must agree (params/cache/gradients) do not."""
+    """Two structures that must agree (params/buffers/gradients) do not."""
 
 
 class DivergenceError(NsnError, ArithmeticError):

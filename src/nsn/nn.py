@@ -9,16 +9,17 @@ Dropout is inverted (masks carry 1/keep_p at train time) so eval mode is the
 identity. All functions preserve the dtype of their inputs: training runs in
 float32, the finite-difference oracle pushes float64 through the same code.
 
-The passes take output arrays, numpy-style: given a :class:`ModelBuffers`
-as ``out``, a forward and backward write only into its arrays, so a training
-run allocates them once; given none, they allocate a fresh set. Either way
-the same float operations run in the same order, so results are bitwise
-equal.
+A forward pass writes every array it computes into a :class:`ModelBuffers`:
+the ``out`` it is given, so a training run allocates them once, or a fresh
+set. Either way the same float operations run in the same order, so results
+are bitwise equal. Those buffers are the pass's only record: the backward
+pass reads the activations and masks from them and writes its errors and
+gradients into them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -101,29 +102,20 @@ class LayerGrads:
 GradientSet = list  # list[LayerGrads], one entry per layer, input layer first
 
 
-@dataclass
-class ForwardCache:
-    """Bookkeeping from one forward pass, consumed by model_backward."""
-
-    mode: str
-    inputs: list = field(default_factory=list)       # dense input per layer
-    # z per layer; a hidden layer's holds relu(z), whose sign is all the
-    # backward pass reads
-    pre_acts: list = field(default_factory=list)
-    input_mask: np.ndarray | None = None
-    hidden_masks: list = field(default_factory=list)  # None where unmasked
-    logp: np.ndarray | None = None
-
-
 class ModelBuffers:
     """Every array one model's forward and backward passes write, for
     batches of up to ``rows`` rows; a smaller batch uses their leading rows.
+    They are the record of the last forward pass into them.
 
-    Eval mode holds the pre-activations and log-probabilities. Train mode
-    adds the dropout masks (float32) and the masked layer inputs wherever
-    the spec's keep probability is below 1, with one flat float64 array
-    ``draw`` for the masks' uniform draws (None when no layer is masked),
-    and the backward pass's error per layer and the gradient set.
+    Eval mode holds the pre-activations and log-probabilities; a hidden
+    layer's pre-activation holds its ReLU output instead, with its dropout
+    mask applied in place in train mode. Train mode adds the dropout masks
+    (float32) wherever the spec's keep probability is below 1, the masked
+    copy of the input ``x_masked`` when the input is masked, one flat
+    float64 array ``draw`` for the masks' uniform draws (None when no layer
+    is masked), and the backward pass's error per layer and the gradient
+    set. ``x`` is the input of the last train-mode pass, None until one has
+    run and after an eval-mode pass.
     """
 
     def __init__(self, spec: ModelSpec, rows: int, mode: str = "train",
@@ -133,16 +125,17 @@ class ModelBuffers:
         dims = spec.dims
         train = mode == "train"
         self.spec, self.rows, self.mode = spec, rows, mode
+        self.x: np.ndarray | None = None
         self.pre_acts = [np.empty((rows, d), dtype) for d in dims[1:]]
         self.logp = np.empty((rows, dims[-1]), dtype)
         in_keep = spec.input_keep if train else 1.0
         hidden_keep = spec.hidden_keep if train else 1.0
-        # mask and masked input per dense layer; None where unmasked
+        # mask per dense layer's input; None where unmasked
         keeps = [in_keep] + [hidden_keep] * (spec.n_layers - 1)
         self.masks = [np.empty((rows, d), np.float32) if keep < 1.0 else None
                       for d, keep in zip(dims, keeps)]
-        self.inputs = [np.empty((rows, d), dtype) if keep < 1.0 else None
-                       for d, keep in zip(dims, keeps)]
+        self.x_masked = (np.empty((rows, dims[0]), dtype) if in_keep < 1.0
+                         else None)
         self.draw = (np.empty(rows * max(dims[:-1])) if min(keeps) < 1.0
                      else None)
         self.d_pre = ([np.empty((rows, d), dtype) for d in dims[1:]]
@@ -241,14 +234,15 @@ def model_forward(spec: ModelSpec, params: Sequence[DenseLayer],
                   x: np.ndarray, mode: str = "eval",
                   rng: np.random.Generator | None = None,
                   out: ModelBuffers | None = None,
-                  ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the full network; returns (log-probabilities, cache).
+                  ) -> tuple[np.ndarray, ModelBuffers]:
+    """Run the full network; returns (log-probabilities, buffers).
 
     In train mode, dropout masks are drawn from ``rng`` wherever the spec's
     keep probability is below 1 (so train mode with all keeps at 1 is
     bitwise identical to eval mode, and needs no rng). Every array the pass
-    computes, the returned ones included, lies in ``out`` when it is given,
-    and in a fresh :class:`ModelBuffers` otherwise.
+    computes, the returned ones included, lies in the buffers returned:
+    ``out`` when it is given, a fresh :class:`ModelBuffers` otherwise. A
+    train-mode pass keeps a reference to ``x`` there for the backward pass.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -265,72 +259,59 @@ def model_forward(spec: ModelSpec, params: Sequence[DenseLayer],
             x, *(layer.weight for layer in params)))
     _check_buffers(spec, out, rows, mode)
 
-    cache = ForwardCache(mode=mode)
+    out.x = x if train else None
     h = x
     if train and spec.input_keep < 1.0:
-        cache.input_mask = dropout_mask(h.shape, spec.input_keep, rng,
-                                        out=out.masks[0][:rows],
-                                        draw=out.draw_for(h.shape))
-        h = np.multiply(h, cache.input_mask, out=out.inputs[0][:rows])
+        mask = dropout_mask(h.shape, spec.input_keep, rng,
+                            out=out.masks[0][:rows],
+                            draw=out.draw_for(h.shape))
+        h = np.multiply(h, mask, out=out.x_masked[:rows])
     for i, layer in enumerate(params[:-1]):
-        cache.inputs.append(h)
         z = dense_forward(h, layer, out=out.pre_acts[i][:rows])
-        a = relu(z, out=z)
-        cache.pre_acts.append(a)
+        h = relu(z, out=z)
         if train and spec.hidden_keep < 1.0:
-            mask = dropout_mask(a.shape, spec.hidden_keep, rng,
-                                out=out.masks[i + 1][:rows],
-                                draw=out.draw_for(a.shape))
-            a = np.multiply(a, mask, out=out.inputs[i + 1][:rows])
-        else:
-            mask = None
-        cache.hidden_masks.append(mask)
-        h = a
-    cache.inputs.append(h)
+            h *= dropout_mask(h.shape, spec.hidden_keep, rng,
+                              out=out.masks[i + 1][:rows],
+                              draw=out.draw_for(h.shape))
     z = dense_forward(h, params[-1], out=out.pre_acts[-1][:rows])
-    cache.pre_acts.append(z)
-    cache.logp = log_softmax(z, out=out.logp[:rows])
-    return cache.logp, cache
+    return log_softmax(z, out=out.logp[:rows]), out
 
 
 def model_backward(spec: ModelSpec, params: Sequence[DenseLayer],
-                   cache: ForwardCache, labels: np.ndarray,
-                   out: ModelBuffers | None = None) -> GradientSet:
-    """Exact gradients of the mean NLL w.r.t. every weight and bias.
+                   buffers: ModelBuffers, labels: np.ndarray) -> GradientSet:
+    """Exact gradients of the mean NLL w.r.t. every weight and bias, for the
+    last train-mode forward pass into ``buffers``.
 
     The output-layer pre-activation gradient is (softmax(z) - onehot) / b.
     The gradients, and the error of each layer on the way down, are written
-    into ``out``'s arrays when it is given (train-mode buffers), and into a
-    fresh set otherwise; the gradient set returned is ``out.grads``.
+    into ``buffers``; the gradient set returned is ``buffers.grads``. A
+    hidden ReLU's sign is read from its masked output: a kept unit's mask
+    is 1/keep >= 1, which keeps the sign, and a dropped unit's error is
+    already zero.
     """
     _check_params(spec, params)
-    if cache.mode != "train":
-        raise ConsistencyError("backward requires a train-mode cache")
-    if len(cache.inputs) != len(params) or cache.logp is None:
-        raise ConsistencyError(f"cache covers {len(cache.inputs)} layers, "
-                               f"params has {len(params)}")
-    for i, layer in enumerate(params):
-        if cache.inputs[i].shape[1] != layer.in_dim:
-            raise ConsistencyError(f"cache input {i} width "
-                                   f"{cache.inputs[i].shape[1]} does not "
-                                   f"match layer in_dim {layer.in_dim}")
-    labels = np.asarray(labels)
-    batch = cache.logp.shape[0]
-    if out is None:
-        out = ModelBuffers(spec, batch, "train", cache.logp.dtype)
-    _check_buffers(spec, out, batch, "train")
-    dz = np.exp(cache.logp, out=out.d_pre[-1][:batch])
-    dz[np.arange(batch), labels] -= 1  # minus the one-hot labels
+    if buffers.spec != spec:
+        raise ConsistencyError(f"buffers are for {buffers.spec}, not {spec}")
+    if buffers.x is None:
+        raise ConsistencyError("backward requires buffers that a train-mode "
+                               "forward pass wrote last")
+    batch = buffers.x.shape[0]
+    inputs = ([buffers.x if buffers.x_masked is None
+               else buffers.x_masked[:batch]]
+              + [a[:batch] for a in buffers.pre_acts[:-1]])
+    dz = np.exp(buffers.logp[:batch], out=buffers.d_pre[-1][:batch])
+    dz[np.arange(batch), np.asarray(labels)] -= 1  # minus the one-hot labels
     dz /= batch
-    grads = out.grads
+    grads = buffers.grads
     for i in reversed(range(len(params))):
-        np.matmul(dz.T, cache.inputs[i], out=grads[i].d_weight)
+        np.matmul(dz.T, inputs[i], out=grads[i].d_weight)
         dz.sum(axis=0, out=grads[i].d_bias)
         if i > 0:
-            da = np.matmul(dz, params[i].weight, out=out.d_pre[i - 1][:batch])
-            if cache.hidden_masks[i - 1] is not None:
-                da *= cache.hidden_masks[i - 1]
-            dz = relu_backward(da, cache.pre_acts[i - 1], out=da)
+            da = np.matmul(dz, params[i].weight,
+                           out=buffers.d_pre[i - 1][:batch])
+            if buffers.masks[i] is not None:
+                da *= buffers.masks[i][:batch]
+            dz = relu_backward(da, inputs[i], out=da)
     return grads
 
 

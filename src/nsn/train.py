@@ -66,9 +66,10 @@ from .optim import (MomentumState, Schedule, apply_update, l2_gradient, lr_at,
 DEFAULT_EPOCHS = 600
 DEFAULT_BATCH = 128
 # Rows an evaluation chunk holds; the two lanes' buffers together hold
-# what one 2048-row batch's did. On OpenBLAS 0.3.31 (Haswell kernels) a
-# row's GEMM result is the same in any chunk of 128 rows or more, so
-# 1024-row chunks give the logits 2048-row batches gave.
+# what one 2048-row batch's did. With the kernels OpenBLAS 0.3.31 picks
+# at run time on an AVX-512 machine (SkylakeX), a row's GEMM result is the
+# same in any chunk of 128 rows or more, so 1024-row chunks give the
+# logits 2048-row batches gave.
 EVAL_BATCH = 1024
 
 METRICS_FILE = "metrics.csv"
@@ -267,9 +268,9 @@ def _forward_backward(family: ModelFamily,
         rng = (_dropout_rng(config, epoch, step, i)
                if spec.uses_dropout else None)
         view = family.view(views[i])
-        logp, cache = model_forward(spec, view, x, "train", rng, out=buffers)
+        logp, _ = model_forward(spec, view, x, "train", rng, out=buffers)
         losses[i] = nll_loss(logp, labels)
-        grad_sets[i] = model_backward(spec, view, cache, labels, out=buffers)
+        grad_sets[i] = model_backward(spec, view, buffers, labels)
 
     def base_view() -> None:
         run(len(views) - 1)
@@ -509,10 +510,12 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
     its groups must have the shapes the config builds, the epochs may not
     be fewer than the checkpoint's, and its best epoch is carried on, so
     the run continues exactly as the uninterrupted one, files included.
-    Every check runs before an out-dir file is opened, and all but that of
-    the batch size against the training set before a data file is. A
-    weight or bias that is not finite after an epoch's last step is a
-    :class:`DivergenceError`, before that epoch is evaluated or saved.
+    Every check runs before the out dir is made, and all but those of the
+    datasets before a data file is opened: each set needs a row, rows of
+    ``input_dim`` columns and labels in [0, ``classes``), and the training
+    set ``batch_size`` rows. A weight or bias that is not finite after an
+    epoch's last step is a :class:`DivergenceError`, before that epoch is
+    evaluated or saved.
     """
     if config.mode != mode:
         raise ConfigError(f"expected a config with mode={mode!r}, "
@@ -557,6 +560,16 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
         if config.data_dir is None:
             raise ConfigError("no datasets given and no data_dir configured")
         train_ds, test_ds = load_data_dir(config.data_dir)
+    for name, ds in (("training", train_ds), ("test", test_ds)):
+        if ds.count == 0:
+            raise ConfigError(f"the {name} set has no rows")
+        if ds.pixels.shape[1:] != (config.input_dim,):
+            raise ConfigError(f"the {name} set's rows have shape "
+                              f"{ds.pixels.shape[1:]}, not the "
+                              f"({config.input_dim},) of input_dim")
+        if ds.labels.min() < 0 or ds.labels.max() >= config.classes:
+            raise ConfigError(f"the {name} set has labels outside "
+                              f"[0, {config.classes})")
     if config.batch_size > train_ds.count:
         raise ConfigError(f"batch_size {config.batch_size} exceeds the "
                           f"{train_ds.count} training samples")

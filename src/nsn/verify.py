@@ -58,8 +58,8 @@ def check_gradcheck(dims_list=None, batch: int = 4,
         x = rng.random((batch, dims[0]))
         labels = rng.integers(0, dims[-1], size=batch)
         spec = ModelSpec(tuple(dims))
-        _, cache = model_forward(spec, params, x, "train")
-        analytic = model_backward(spec, params, cache, labels)
+        _, buffers = model_forward(spec, params, x, "train")
+        analytic = model_backward(spec, params, buffers, labels)
         numeric = numerical_gradient(spec, params, x, labels)
         worst = max(worst, max_relative_error(analytic, numeric))
     return CheckResult("gradcheck", worst <= tol,
@@ -182,8 +182,8 @@ class LiteralFamily:
             spec = config.model_spec(m)
             rng = (_dropout_rng(config, epoch, step, m)
                    if spec.uses_dropout else None)
-            _, cache = model_forward(spec, self.models[m], x, "train", rng)
-            grad_sets.append(model_backward(spec, self.models[m], cache,
+            _, buffers = model_forward(spec, self.models[m], x, "train", rng)
+            grad_sets.append(model_backward(spec, self.models[m], buffers,
                                             labels))
         if config.l2_lambda > 0:
             for grads, layer in zip(grad_sets[-1], self.models[self.n]):

@@ -202,9 +202,9 @@ class TestModelForward:
         eval_a, _ = nn.model_forward(spec, params, x, "eval")
         eval_b, _ = nn.model_forward(spec, params, x, "eval")
         assert np.array_equal(eval_a, eval_b)
-        train_out, cache = nn.model_forward(spec, params, x, "train",
-                                            np.random.default_rng(0))
-        assert cache.input_mask is not None
+        train_out, buffers = nn.model_forward(spec, params, x, "train",
+                                              np.random.default_rng(0))
+        assert buffers.masks[0] is not None
         assert not np.array_equal(train_out, eval_a)
 
     def test_spec_params_mismatch(self):
@@ -221,8 +221,8 @@ class TestModelBackward:
         spec = nn.spec_for_params(params)
         x = rng.random((8, 5)).astype(np.float32)
         labels = rng.integers(0, 4, size=8)
-        logp, cache = nn.model_forward(spec, params, x, "train")
-        grads = nn.model_backward(spec, params, cache, labels)
+        logp, buffers = nn.model_forward(spec, params, x, "train")
+        grads = nn.model_backward(spec, params, buffers, labels)
         # closed form: dW = (p - y)^T x / b, db = column sums of (p - y) / b
         p = np.exp(logp.astype(np.float64))
         y = np.zeros_like(p)
@@ -236,8 +236,8 @@ class TestModelBackward:
         params = random_layers((5, 4), seed=12)
         spec = nn.spec_for_params(params)
         x = np.zeros((3, 5), np.float32)
-        _, cache = nn.model_forward(spec, params, x, "train")
-        grads = nn.model_backward(spec, params, cache,
+        _, buffers = nn.model_forward(spec, params, x, "train")
+        grads = nn.model_backward(spec, params, buffers,
                                   np.array([0, 1, 2]))
         assert np.all(grads[0].d_weight == 0)
         assert np.any(grads[0].d_bias != 0)
@@ -250,8 +250,8 @@ class TestModelBackward:
         rng = np.random.default_rng(14)
         x = rng.random((4, 32))
         labels = rng.integers(0, 10, size=4)
-        _, cache = nn.model_forward(spec, params, x, "train")
-        analytic = nn.model_backward(spec, params, cache, labels)
+        _, buffers = nn.model_forward(spec, params, x, "train")
+        analytic = nn.model_backward(spec, params, buffers, labels)
         numeric = nn.numerical_gradient(spec, params, x, labels)
         for a, n in zip(analytic, numeric):
             for av, nv in ((a.d_weight, n.d_weight), (a.d_bias, n.d_bias)):
@@ -261,10 +261,24 @@ class TestModelBackward:
     def test_eval_cache_rejected(self):
         params = random_layers((5, 4))
         spec = nn.spec_for_params(params)
-        _, cache = nn.model_forward(spec, params,
-                                    np.zeros((2, 5), np.float32), "eval")
+        _, buffers = nn.model_forward(spec, params,
+                                      np.zeros((2, 5), np.float32), "eval")
         with pytest.raises(ConsistencyError):
-            nn.model_backward(spec, params, cache, np.array([0, 1]))
+            nn.model_backward(spec, params, buffers, np.array([0, 1]))
+
+    def test_buffers_no_train_pass_wrote_last_are_rejected(self):
+        params = random_layers((5, 4, 3))
+        spec = nn.spec_for_params(params, input_keep=0.8, hidden_keep=0.5)
+        x = np.random.default_rng(18).random((2, 5)).astype(np.float32)
+        labels = np.array([0, 1])
+        buffers = nn.ModelBuffers(spec, 2)
+        with pytest.raises(ConsistencyError):
+            nn.model_backward(spec, params, buffers, labels)
+        nn.model_forward(spec, params, x, "train", np.random.default_rng(19),
+                         out=buffers)
+        nn.model_forward(spec, params, x, "eval", out=buffers)
+        with pytest.raises(ConsistencyError):
+            nn.model_backward(spec, params, buffers, labels)
 
     def test_fixed_masks_match_masked_finite_differences(self):
         params = [nn.DenseLayer(p.weight.astype(np.float64),
@@ -274,15 +288,95 @@ class TestModelBackward:
         rng = np.random.default_rng(16)
         x = rng.random((4, 8))
         labels = rng.integers(0, 5, size=4)
-        _, cache = nn.model_forward(spec, params, x, "train",
-                                    np.random.default_rng(17))
-        analytic = nn.model_backward(spec, params, cache, labels)
+        _, buffers = nn.model_forward(spec, params, x, "train",
+                                      np.random.default_rng(17))
+        analytic = nn.model_backward(spec, params, buffers, labels)
         numeric = nn.numerical_gradient(
             nn.ModelSpec((8, 6, 5)), params, x, labels,
-            input_mask=cache.input_mask, hidden_masks=cache.hidden_masks)
+            input_mask=buffers.masks[0], hidden_masks=buffers.masks[1:])
         for a, n in zip(analytic, numeric):
             np.testing.assert_allclose(a.d_weight, n.d_weight, atol=1e-7)
             np.testing.assert_allclose(a.d_bias, n.d_bias, atol=1e-7)
+
+
+def literal_passes(params, x, labels, keep, rng):
+    """A forward and backward written out with a separate masked array per
+    hidden layer; returns each hidden layer's (mask, ReLU output), the
+    log-probabilities and the gradients."""
+    h = x * nn.dropout_mask(x.shape, keep, rng)
+    inputs, hidden = [h], []
+    for layer in params[:-1]:
+        a = np.maximum(h @ layer.weight.T + layer.bias, 0)
+        mask = nn.dropout_mask(a.shape, keep, rng)
+        hidden.append((mask, a))
+        h = a * mask
+        inputs.append(h)
+    logp = nn.log_softmax(h @ params[-1].weight.T + params[-1].bias)
+    batch = x.shape[0]
+    dz = np.exp(logp)
+    dz[np.arange(batch), labels] -= 1
+    dz /= batch
+    grads = []
+    for i in reversed(range(len(params))):
+        grads.append((dz.T @ inputs[i], dz.sum(axis=0)))
+        if i > 0:
+            mask, a = hidden[i - 1]
+            dz = (dz @ params[i].weight * mask) * (a > 0)
+    return hidden, logp, grads[::-1]
+
+
+def arrays_in(value):
+    """Every array in ``value``, looking into lists and gradients."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, list):
+        for item in value:
+            yield from arrays_in(item)
+    elif isinstance(value, nn.LayerGrads):
+        yield from (value.d_weight, value.d_bias)
+
+
+class TestInPlaceMasks:
+    """A hidden layer's mask is applied to its ReLU output in place, and
+    the backward takes the ReLU's sign from that masked output. Where the
+    mask keeps a unit it is 1/keep >= 1, so the sign is the ReLU's; where
+    it drops one, the error is already zero. So the passes equal, bitwise,
+    ones that keep the unmasked output apart."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("keep", [0.5, 0.8, 1 / 3])
+    def test_equals_a_separate_masked_array_per_layer(self, keep, dtype):
+        dims = (12, 16, 16, 5)
+        params = random_layers(dims, seed=40, dtype=dtype)
+        spec = nn.spec_for_params(params, input_keep=keep, hidden_keep=keep)
+        rng = np.random.default_rng(41)
+        x = (rng.random((24, 12)) - 0.5).astype(dtype)
+        labels = rng.integers(0, 5, size=24)
+        hidden, want_logp, want = literal_passes(
+            params, x, labels, keep, np.random.default_rng(42))
+        for mask, a in hidden:
+            assert np.any((mask > 0) & (a == 0))  # kept but dead
+            assert np.any((mask == 0) & (a > 0))  # live but dropped
+        logp, buffers = nn.model_forward(spec, params, x, "train",
+                                         np.random.default_rng(42))
+        grads = nn.model_backward(spec, params, buffers, labels)
+        assert logp.dtype == dtype
+        assert logp.tobytes() == want_logp.tobytes()
+        for g, (d_weight, d_bias) in zip(grads, want, strict=True):
+            assert g.d_weight.tobytes() == d_weight.tobytes()
+            assert g.d_bias.tobytes() == d_bias.tobytes()
+
+    def test_only_the_input_has_a_masked_copy(self):
+        spec = nn.ModelSpec((6, 5, 5, 4), input_keep=0.8, hidden_keep=0.5)
+        buffers = nn.ModelBuffers(spec, 3, dtype=np.float64)
+        rows = sorted(a.shape for a in arrays_in(list(vars(buffers).values()))
+                      if a.dtype == np.float64 and a.ndim == 2
+                      and a.shape[0] == 3)
+        # per layer its pre-activation and error, then the log-probabilities
+        # and the masked input
+        assert rows == sorted([(3, 5), (3, 5), (3, 4)] * 2
+                              + [(3, 4), (3, 6)])
+        assert buffers.x_masked.shape == (3, 6)
 
 
 class TestModelBuffers:
@@ -307,10 +401,10 @@ class TestModelBuffers:
         buffers = nn.ModelBuffers(spec, 7)
         results = []
         for out in (None, buffers):
-            logp, cache = nn.model_forward(spec, params, x, "train",
-                                           np.random.default_rng(34),
-                                           out=out)
-            grads = nn.model_backward(spec, params, cache, labels, out=out)
+            logp, written = nn.model_forward(spec, params, x, "train",
+                                             np.random.default_rng(34),
+                                             out=out)
+            grads = nn.model_backward(spec, params, written, labels)
             results.append([logp] + [a for g in grads
                                      for a in (g.d_weight, g.d_bias)])
         assert results[1][1] is buffers.grads[0].d_weight

@@ -500,6 +500,30 @@ class TestConfigValidation:
             train_reference(toy_config(mode="nsn"), ds, ds)
 
 
+def bad_set(case, count=32, input_dim=8, classes=3):
+    ds = toy_dataset(count, input_dim, classes, seed=9)
+    if case == "empty":
+        return Dataset(pixels=ds.pixels[:0], labels=ds.labels[:0])
+    if case == "wide":
+        return toy_dataset(count, input_dim + 1, classes, seed=9)
+    return Dataset(pixels=ds.pixels, labels=ds.labels + 2)  # 2..4
+
+
+class TestDatasetChecks:
+    @pytest.mark.parametrize("which,case", [
+        ("train", "wide"), ("test", "wide"), ("train", "labels"),
+        ("test", "empty"), ("test", "labels")])
+    def test_a_bad_set_is_rejected_before_the_out_dir_is_made(
+            self, tmp_path, which, case):
+        config = toy_config(n_hidden=1, epochs=1, input_dim=8, classes=3,
+                            batch_size=16, out_dir=tmp_path / "run")
+        good = toy_dataset(32, 8, 3, seed=9)
+        sets = {"train": good, "test": good, which: bad_set(case)}
+        with pytest.raises(ConfigError):
+            train(config, sets["train"], sets["test"])
+        assert not (tmp_path / "run").exists()
+
+
 class TestByteBackedData:
     def test_training_never_scales_the_training_set_whole(
             self, synth_data_dir, tmp_path):
@@ -526,7 +550,7 @@ def workspace_arrays(workspace):
     """Every array of ``workspace``, the L2 scratch last."""
     return [a for buffers in workspace.models
             for a in (*buffers.pre_acts, buffers.logp, *buffers.masks,
-                      *buffers.inputs, *buffers.d_pre, buffers.draw,
+                      buffers.x_masked, *buffers.d_pre, buffers.draw,
                       *(x for g in buffers.grads
                         for x in (g.d_weight, g.d_bias)))
             if a is not None] + [workspace.scratch]
@@ -584,6 +608,15 @@ class TestStepWorkspace:
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("mode,size", [("nsn", 16_808_120),
+                                           ("reference", 11_442_984)])
+    def test_workspace_bytes_at_batch_128(self, mode, size):
+        # a masked hidden layer holds no copy of its ReLU output: nsn2 has
+        # three masked hidden layers over its models, ref2 two, each
+        # 128 x 784 float32 less than a copy per layer held
+        workspace = StepWorkspace(TrainConfig(mode=mode, n_hidden=2), 128)
+        assert sum(a.nbytes for a in workspace_arrays(workspace)) == size
 
     def test_evaluate_never_scales_the_whole_set(self):
         rng = np.random.default_rng(3)
