@@ -6,7 +6,8 @@
 # training and 2500 test rows), then runs the same commands with each
 # tree's sources, from one working directory and into a relative out dir
 # (a checkpoint's config echo stores the out dir as given):
-#   train --n-hidden 1, 2 and 3 (3 with --l2 9e-5, it has no default),
+#   train --n-hidden 1, 2, 3 and 4 (3 and 4 with --l2 9e-5, they have no
+#   default),
 #   train-ref --n-hidden 0, 1 and 2, all for 2 epochs at --seed 7;
 #   train --n-hidden 2 for 1 epoch, resumed to 2;
 #   eval and detach-eval --drop-layers 1 of the train --n-hidden 2 run;
@@ -47,8 +48,10 @@ outputs_of() {
     run "$tree" "train-$n" train --n-hidden "$n" "${common[@]}" \
       --out-dir "out/train-$n"
   done
-  run "$tree" train-3 train --n-hidden 3 --l2 9e-5 "${common[@]}" \
-    --out-dir out/train-3
+  for n in 3 4; do
+    run "$tree" "train-$n" train --n-hidden "$n" --l2 9e-5 "${common[@]}" \
+      --out-dir "out/train-$n"
+  done
   for n in 0 1 2; do
     run "$tree" "train-ref-$n" train-ref --n-hidden "$n" "${common[@]}" \
       --out-dir "out/train-ref-$n"

@@ -24,6 +24,8 @@ head first, and trains only through the base view, model n.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError
@@ -31,6 +33,7 @@ from .nn import DenseLayer, LayerGrads
 
 DEFAULT_INPUT_DIM = 784
 DEFAULT_CLASSES = 10
+INIT_ROWS = 64  # rows of weights drawn at a time
 
 
 class ModelFamily:
@@ -67,9 +70,14 @@ class ModelFamily:
 
 def init_layer(out_dim: int, in_dim: int, rng: np.random.Generator) -> DenseLayer:
     """Scaled-uniform init: weights in [-1/sqrt(fan_in), +1/sqrt(fan_in)],
-    biases zero."""
+    biases zero. The float64 draws are made ``INIT_ROWS`` rows at a time
+    and rounded into the float32 weight, the same values one draw of the
+    whole weight would give, with no whole-weight temporary."""
     bound = 1.0 / np.sqrt(in_dim)
-    weight = rng.uniform(-bound, bound, size=(out_dim, in_dim)).astype(np.float32)
+    weight = np.empty((out_dim, in_dim), np.float32)
+    for start in range(0, out_dim, INIT_ROWS):
+        block = weight[start:start + INIT_ROWS]
+        block[...] = rng.uniform(-bound, bound, size=block.shape)
     return DenseLayer(weight=weight, bias=np.zeros(out_dim, dtype=np.float32))
 
 
@@ -113,15 +121,20 @@ def copy_up(family: ModelFamily) -> None:
                 up.bias[...] = lo.bias
 
 
-def paired_average_gradients(per_model_grads: list) -> list[LayerGrads]:
+def paired_average_gradients(per_model_grads: list,
+                             groups: Sequence[int] | None = None,
+                             rows: slice = slice(None)) -> list[LayerGrads]:
     """Collapse per-model gradients into one gradient per canonical group.
 
     ``per_model_grads`` holds models 0..n, so n is its length - 1. Group
     g < n averages model g's input-layer gradient with model g+1's
     second-layer gradient; group n (the base model's input layer) passes
-    through unaveraged. The averages are formed in place, in each model's
-    input-layer gradient, which is what is returned for its group, so the
-    pass allocates nothing. Returns gradients indexed by group id.
+    through unaveraged. Only the ``groups`` given (every group when None)
+    are formed, and of each only ``rows`` of its weight and bias: the rule
+    is element-wise, so forming a group's rows in any split gives the
+    bytes of forming it whole. The averages are formed in place, in each
+    model's input-layer gradient, whose ``rows`` are returned for its
+    group, in the order of ``groups``, so the pass allocates no array.
     """
     n = len(per_model_grads) - 1
     for m, grads in enumerate(per_model_grads):
@@ -129,9 +142,10 @@ def paired_average_gradients(per_model_grads: list) -> list[LayerGrads]:
             raise ConsistencyError(f"model {m} must have {m + 1} layer "
                                    f"gradients, got {len(grads)}")
     out: list[LayerGrads] = []
-    for g in range(n + 1):
+    for g in range(n + 1) if groups is None else groups:
         own = per_model_grads[g][0]
-        out.append(own)
+        mine = LayerGrads(own.d_weight[rows], own.d_bias[rows])
+        out.append(mine)
         if g == n:
             continue
         pair = per_model_grads[g + 1][1]
@@ -140,10 +154,10 @@ def paired_average_gradients(per_model_grads: list) -> list[LayerGrads]:
                 f"group {g}: paired gradient shapes differ: "
                 f"{own.d_weight.shape} vs {pair.d_weight.shape}")
         half = own.d_weight.dtype.type(0.5)
-        for mine, theirs in ((own.d_weight, pair.d_weight),
-                             (own.d_bias, pair.d_bias)):
-            mine += theirs
-            mine *= half
+        for a, b in ((mine.d_weight, pair.d_weight[rows]),
+                     (mine.d_bias, pair.d_bias[rows])):
+            a += b
+            a *= half
     return out
 
 

@@ -277,6 +277,51 @@ def model_forward(spec: ModelSpec, params: Sequence[DenseLayer],
     return log_softmax(z, out=out.logp[:rows]), out
 
 
+def layer_input(buffers: ModelBuffers, i: int) -> np.ndarray:
+    """What layer i multiplied in the last train-mode pass into
+    ``buffers``: the (masked) input for layer 0, else the masked ReLU
+    output of layer i - 1."""
+    batch = buffers.x.shape[0]
+    if i > 0:
+        return buffers.pre_acts[i - 1][:batch]
+    return buffers.x if buffers.x_masked is None else buffers.x_masked[:batch]
+
+
+def output_error(buffers: ModelBuffers, labels: np.ndarray) -> np.ndarray:
+    """The last layer's error, (softmax(z) - onehot) / b, written into
+    ``buffers.d_pre[-1]``."""
+    batch = buffers.x.shape[0]
+    dz = np.exp(buffers.logp[:batch], out=buffers.d_pre[-1][:batch])
+    dz[np.arange(batch), np.asarray(labels)] -= 1  # minus the one-hot labels
+    dz /= batch
+    return dz
+
+
+def layer_error(params: Sequence[DenseLayer], buffers: ModelBuffers,
+                i: int) -> np.ndarray:
+    """Layer i - 1's error from layer i's (i >= 1), written into
+    ``buffers.d_pre[i - 1]``. A hidden ReLU's sign is read from its masked
+    output: a kept unit's mask is 1/keep >= 1, which keeps the sign, and a
+    dropped unit's error is already zero."""
+    batch = buffers.x.shape[0]
+    da = np.matmul(buffers.d_pre[i][:batch], params[i].weight,
+                   out=buffers.d_pre[i - 1][:batch])
+    if buffers.masks[i] is not None:
+        da *= buffers.masks[i][:batch]
+    return relu_backward(da, layer_input(buffers, i), out=da)
+
+
+def weight_gradient(buffers: ModelBuffers, i: int) -> LayerGrads:
+    """Layer i's weight and bias gradients from its error, written into
+    ``buffers.grads[i]``."""
+    batch = buffers.x.shape[0]
+    dz = buffers.d_pre[i][:batch]
+    grads = buffers.grads[i]
+    np.matmul(dz.T, layer_input(buffers, i), out=grads.d_weight)
+    dz.sum(axis=0, out=grads.d_bias)
+    return grads
+
+
 def model_backward(spec: ModelSpec, params: Sequence[DenseLayer],
                    buffers: ModelBuffers, labels: np.ndarray) -> GradientSet:
     """Exact gradients of the mean NLL w.r.t. every weight and bias, for the
@@ -284,10 +329,9 @@ def model_backward(spec: ModelSpec, params: Sequence[DenseLayer],
 
     The output-layer pre-activation gradient is (softmax(z) - onehot) / b.
     The gradients, and the error of each layer on the way down, are written
-    into ``buffers``; the gradient set returned is ``buffers.grads``. A
-    hidden ReLU's sign is read from its masked output: a kept unit's mask
-    is 1/keep >= 1, which keeps the sign, and a dropped unit's error is
-    already zero.
+    into ``buffers`` by :func:`output_error`, :func:`weight_gradient` and
+    :func:`layer_error`, the pieces a training step runs as tasks of their
+    own; the gradient set returned is ``buffers.grads``.
     """
     _check_params(spec, params)
     if buffers.spec != spec:
@@ -295,24 +339,12 @@ def model_backward(spec: ModelSpec, params: Sequence[DenseLayer],
     if buffers.x is None:
         raise ConsistencyError("backward requires buffers that a train-mode "
                                "forward pass wrote last")
-    batch = buffers.x.shape[0]
-    inputs = ([buffers.x if buffers.x_masked is None
-               else buffers.x_masked[:batch]]
-              + [a[:batch] for a in buffers.pre_acts[:-1]])
-    dz = np.exp(buffers.logp[:batch], out=buffers.d_pre[-1][:batch])
-    dz[np.arange(batch), np.asarray(labels)] -= 1  # minus the one-hot labels
-    dz /= batch
-    grads = buffers.grads
+    output_error(buffers, labels)
     for i in reversed(range(len(params))):
-        np.matmul(dz.T, inputs[i], out=grads[i].d_weight)
-        dz.sum(axis=0, out=grads[i].d_bias)
+        weight_gradient(buffers, i)
         if i > 0:
-            da = np.matmul(dz, params[i].weight,
-                           out=buffers.d_pre[i - 1][:batch])
-            if buffers.masks[i] is not None:
-                da *= buffers.masks[i][:batch]
-            dz = relu_backward(da, inputs[i], out=da)
-    return grads
+            layer_error(params, buffers, i)
+    return buffers.grads
 
 
 def forward_loss(spec: ModelSpec, params: Sequence[DenseLayer],

@@ -1,32 +1,37 @@
 """Training harness: the per-minibatch family procedure, reference-model
 training, evaluation, metrics files, and checkpoint persistence.
 
-One family step runs, in order: the lesser-to-bigger parameter copy, a
-train-mode forward of every model with independent per-model dropout masks
-(the softmax-regression model gets none), per-model backward passes, the L2
-penalty added to the base model's weight gradients, pairwise gradient
-averaging into canonical groups, the EMA-style momentum update, and the
-parameter update. Reference runs train a single model with plain gradients,
-L2 on all weights, and standard momentum; that model is stored as a family
-whose base view is the only one trained, so both kinds of run share one
-init, resume, loop and checkpoint path, and one step body: the forward,
-backward and L2 of the views a run trains, and the in-place update of every
-group. The two steps differ only in the copy, the pairing and the momentum
-format.
+One family step computes, in effect in this order: the lesser-to-bigger
+parameter copy, a train-mode forward of every model with independent
+per-model dropout masks (the softmax-regression model gets none),
+per-model backward passes, the L2 penalty added to the base model's weight
+gradients, pairwise gradient averaging into canonical groups, the
+EMA-style momentum update, and the parameter update. Reference runs train
+a single model with plain gradients, L2 on all weights, and standard
+momentum; that model is stored as a family whose base view is the only one
+trained, so both kinds of run share one init, resume, loop and checkpoint
+path, and one step body. The two steps differ only in the copy, the
+pairing and the momentum format. A step forms only the weight gradients
+its update reads: a family's model m never forms those of its layers
+2..m.
 
-A step runs on two lanes: the calling thread and one helper thread per
-process, started on first use. The per-model passes are independent until
-the pairing, and the per-group updates after it, so the base model's
-forward, backward and L2, and group n's update, run on the caller while
-models 0..n-1 and groups 0..n-1 run, in order, on the helper; a helper
-that has not started its lane by the time the caller's is done leaves it
-to the caller. An evaluation splits the test rows into chunks that each
-lane takes in turn until none is left. Every BLAS call stays
-single-threaded in the thread that makes it, and each float operation
-reads the same data in the same order as on one thread, so results are
-bitwise those of running the lanes one after the other, on whichever
-threads. A step or an evaluation returns or raises only once both lanes
-are done.
+A step is a fixed list of tasks (:func:`step_tasks`, built once per run
+with the :class:`StepWorkspace`): each model's forward, each layer's
+backward error, each weight gradient, the loss check, and each group's
+finish (L2, pairing, momentum and update) in row halves. A task waits for
+every earlier task that writes what it reads or writes, or reads what it
+writes. The list runs on two lanes, the calling thread and one helper
+thread per process, started on first use: each lane claims the first task
+whose dependencies are done, in an order that puts the longest remaining
+chain of work first, and waits only when every unclaimed task depends on
+one the other lane is running; a helper that never gets a core leaves
+every task, in list order, to the caller. An evaluation's chunks of test
+rows run on the same lanes as tasks with no dependencies. Every BLAS call
+stays single-threaded in the thread that makes it, no GEMM is split, and
+each float operation reads the same data in the same order as on one
+thread, so results are bitwise those of running the tasks one after the
+other, on whichever threads. A step or an evaluation returns or raises
+only once both lanes are idle.
 
 Randomness is split by purpose and keyed by position: shuffling by
 (seed, epoch), dropout by (seed, epoch, step, model). Resuming from a
@@ -44,9 +49,9 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
+from heapq import heappop, heappush
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -58,8 +63,11 @@ from .errors import ConfigError, ConsistencyError, DivergenceError, FormatError
 from .family import (ModelFamily, build_family, copy_up, init_layer,
                      paired_average_gradients)
 from .mnist import BatchPlan, Dataset, batches, load_data_dir
-from .nn import (DenseLayer, ModelBuffers, ModelSpec, model_backward,
-                 model_forward, nll_loss, spec_for_params)
+# model_backward is not called here: the step runs its pieces as tasks.
+# perfbench wraps nsn.train.model_backward by name, so the name stays.
+from .nn import (DenseLayer, LayerGrads, ModelBuffers, ModelSpec,  # noqa: F401
+                 layer_error, model_backward, model_forward, nll_loss,
+                 output_error, spec_for_params, weight_gradient)
 from .optim import (MomentumState, Schedule, apply_update, l2_gradient, lr_at,
                     momentum_nsn, momentum_standard)
 
@@ -165,25 +173,171 @@ def _dropout_rng(config: TrainConfig, epoch: int, step: int,
     return np.random.default_rng([config.dropout_seed, epoch, step, model])
 
 
+LANES = 2  # the calling thread and one helper thread
+# A finish walks its rows in blocks of this many, doing a block's L2,
+# pairing, momentum and update before the next, so the five 98 x 784
+# float32 blocks it touches (1.5 MB) stay in a 2 MB L2 cache; a 784-row
+# half is four blocks. On one core, a 784 x 784 finish took 1.1-1.5 ms in
+# such blocks against 1.6-2.0 ms whole; 64-row blocks were as fast alone
+# but, as the other lane's finish ran beside them, slower than whole.
+FINISH_ROWS = 98
+# What one element costs in the multiply-adds of a GEMM that takes as long
+# (a 128 x 784 mask and a 784 x 784 finish against a 128 x 784 x 784 GEMM
+# on one core): a dropout mask's draw and threshold, and a finish's
+# element-wise work. Only the order of the tasks depends on them.
+MASK_MACS = 200
+FINISH_MACS = 80
+
+
+@dataclass(frozen=True)
+class Task:
+    """One unit of work that a lane runs whole.
+
+    A step's tasks (see :func:`step_tasks`) are a ``kind``: the "forward"
+    of the trained model at ``model`` (its position among the trained
+    views), with its masks, loss and output error; the "error" of that
+    model's ``layer`` - 1 from ``layer``'s; the "weight" gradient of its
+    ``layer``; the loss "check"; and the "finish" of ``rows`` of
+    ``group``: the L2, pairing, momentum and update of those rows, reading
+    the gradients ``grads``, (model, layer) pairs, its own first. An
+    evaluation's tasks are "chunk"s of test ``rows``.
+
+    ``reads`` and ``writes`` name what the task touches, ``deps`` the
+    positions in its list of the tasks it waits for, and ``cost`` its work
+    in square GEMMs (batch x width x width).
+    """
+
+    kind: str
+    model: int = 0
+    layer: int = 0
+    group: int = 0
+    rows: slice | None = None
+    grads: tuple = ()
+    reads: frozenset = frozenset()
+    writes: frozenset = frozenset()
+    deps: tuple = ()
+    cost: float = 0.0
+
+
+def _halves(rows: int) -> list[slice]:
+    half = (rows + 1) // 2
+    return [s for s in (slice(0, half), slice(half, rows)) if s.stop > s.start]
+
+
+def step_tasks(config: TrainConfig) -> list[Task]:
+    """A step's tasks for ``config``, in the order the lanes claim them.
+
+    Tasks are first listed in the order one thread would run them: every
+    trained model's forward, then each model's backward, head first (the
+    weight gradient of a layer, then the error below it), the loss check,
+    and each group's finish, head group first, in row halves. A weight
+    gradient is formed only where a finish reads it: in a family, model
+    m's input and second layers (its own and its pair's group), in a
+    baseline every layer. A task depends on every earlier task that writes
+    what it reads or writes, or reads what it writes; so a finish of group
+    g follows every forward and error that multiplies by g's weight, and
+    every finish follows the loss check. The list is then ordered by the
+    longest chain of costs from each task to the end of the step, longest
+    first, ties in listed order, which keeps every task after the tasks it
+    depends on.
+    """
+    views = config.trained_views()
+    base, n, width = len(views) - 1, config.n_hidden, config.input_dim
+    square = config.batch_size * width * width
+    parts = [_halves(config.classes if g == 0 else width)
+             for g in range(n + 1)]
+    if config.mode == "nsn":
+        sources = [[(g, 0)] + ([(g + 1, 1)] if g < n else [])
+                   for g in range(n + 1)]
+    else:
+        sources = [[(0, n - g)] for g in range(n + 1)]
+    formed = {grad for grads in sources for grad in grads}
+
+    def param(g):
+        return {("param", g, k) for k in range(len(parts[g]))}
+
+    def grad(i, j):
+        g = views[i] - j
+        return {("grad", i, j, k) for k in range(len(parts[g]))}
+
+    def gemm(dims, j):
+        return config.batch_size * dims[j] * dims[j + 1] / square
+
+    listed = []
+    for i, m in enumerate(views):
+        spec = config.model_spec(m)
+        dims = spec.dims
+        keeps = [spec.input_keep] + [spec.hidden_keep] * (spec.n_layers - 1)
+        masked = sum(d for d, keep in zip(dims, keeps) if keep < 1.0)
+        listed.append(Task(
+            "forward", model=i,
+            reads=frozenset().union(*(param(m - j)
+                                      for j in range(spec.n_layers))),
+            writes=frozenset({("acts", i), ("error", i, spec.n_layers - 1)}),
+            cost=(sum(gemm(dims, j) for j in range(spec.n_layers))
+                  + MASK_MACS * config.batch_size * masked / square)))
+    for i, m in enumerate(views):
+        dims = config.model_spec(m).dims
+        for j in reversed(range(len(dims) - 1)):
+            if (i, j) in formed:
+                listed.append(Task(
+                    "weight", model=i, layer=j,
+                    reads=frozenset({("acts", i), ("error", i, j)}),
+                    writes=frozenset(grad(i, j)), cost=gemm(dims, j)))
+            if j > 0:
+                listed.append(Task(
+                    "error", model=i, layer=j,
+                    reads=frozenset({("acts", i), ("error", i, j)}
+                                    | param(m - j)),
+                    writes=frozenset({("error", i, j - 1)}),
+                    cost=gemm(dims, j)))
+    listed.append(Task("check",
+                       reads=frozenset(("acts", i) for i in range(base + 1)),
+                       writes=frozenset({("checked",)})))
+    for g in range(n + 1):
+        for k, rows in enumerate(parts[g]):
+            touched = {("param", g, k), ("momentum", g, k)} | {
+                ("grad", i, j, k) for i, j in sources[g]}
+            listed.append(Task(
+                "finish", group=g, rows=rows, grads=tuple(sources[g]),
+                reads=frozenset(touched | {("checked",)}),
+                writes=frozenset(touched),
+                cost=FINISH_MACS * (rows.stop - rows.start) * width / square))
+
+    deps = [[u for u in range(t) if listed[u].writes
+             & (listed[t].reads | listed[t].writes)
+             or listed[u].reads & listed[t].writes]
+            for t in range(len(listed))]
+    path = [0.0] * len(listed)
+    for t in reversed(range(len(listed))):
+        after = [path[s] for s in range(t + 1, len(listed)) if t in deps[s]]
+        path[t] = listed[t].cost + max(after, default=0.0)
+    order = sorted(range(len(listed)), key=lambda t: (-path[t], t))
+    position = {t: k for k, t in enumerate(order)}
+    return [replace(listed[t], deps=tuple(sorted(position[u]
+                                                 for u in deps[t])))
+            for t in order]
+
+
 class StepWorkspace:
-    """Every array a training step writes, allocated once for a run.
+    """Every array a training step writes, allocated once for a run, and
+    the step's tasks.
 
     One train-mode :class:`ModelBuffers` per model ``config`` trains, in
     the order of ``config.trained_views()``, for batches of up to ``rows``
     rows (a shorter last batch uses their leading rows); no two models
-    share an array. One scratch array as large as the base model's largest
-    weight holds its L2 term.
+    share an array. Each lane has a scratch block of ``FINISH_ROWS``
+    weight rows for the L2 terms of the finish it runs. ``tasks`` is
+    :func:`step_tasks` of ``config``.
     """
 
     def __init__(self, config: TrainConfig, rows: int):
         self.models = [ModelBuffers(config.model_spec(m), rows)
                        for m in config.trained_views()]
-        dims = self.models[-1].spec.dims
-        self.scratch = np.empty(max(o * i for i, o in zip(dims, dims[1:])),
-                                np.float32)
-
-    def scratch_like(self, a: np.ndarray) -> np.ndarray:
-        return self.scratch[:a.size].reshape(a.shape)
+        self.grad_sets = [buffers.grads for buffers in self.models]
+        self.scratch = [np.empty((FINISH_ROWS, config.input_dim), np.float32)
+                        for _ in range(LANES)]
+        self.tasks = step_tasks(config)
 
 
 _helper: ThreadPoolExecutor | None = None
@@ -208,111 +362,172 @@ def _forget_helper() -> None:
 os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _in_two_lanes(on_helper: Sequence[Callable[[], None]],
-                  on_caller: Callable[[], None]) -> None:
-    """Run the calls ``on_helper``, in order, on the helper thread while
-    ``on_caller`` runs on this one. Whichever thread reaches them first
-    runs them all, so if the helper has not started by the time
-    ``on_caller`` is done, this thread runs them rather than wait for it
-    to get a core; with none, the helper is not woken. Returns, or
-    raises the caller's error or else the helper's, only once both lanes
-    are done. BLAS is set to one thread before either lane starts."""
+def _run_tasks(tasks: Sequence[Task], run: Callable[[int, int], None],
+               drain: bool = False) -> None:
+    """Run ``run(k, lane)`` for every task k of ``tasks`` on two lanes:
+    this thread (lane 0) and the helper thread (lane 1), the helper only
+    when there is more than one task.
+
+    Each lane repeatedly claims the first unclaimed task in list order
+    whose ``deps`` are all done, and runs it. A lane waits only when every
+    unclaimed task depends on a task the other lane is running, so a
+    helper that has not started leaves every task to this thread, which
+    then runs them in list order (the list is topologically ordered), and
+    a helper that starts after the last task is done runs none. A task
+    that raises stops new claims by both lanes, or with ``drain`` only by
+    its own: the other lane runs on, but never a task that depends on the
+    failed one. Returns, or raises the first error a task raised, only
+    once both lanes are done, so nothing of the run outlives it. BLAS is
+    set to one thread before either lane starts.
+    """
     one_blas_thread()
-    if not on_helper:
-        on_caller()
-        return
-    claim = threading.Lock()
+    unmet = [len(task.deps) for task in tasks]
+    dependents: list[list[int]] = [[] for _ in tasks]
+    for k, task in enumerate(tasks):
+        for d in task.deps:
+            dependents[d].append(k)
+    ready = [k for k, count in enumerate(unmet) if count == 0]  # a heap
+    errors: list[BaseException] = []
+    cond = threading.Condition()
+    running = 0
+    started = closed = False
 
-    def run_helper_lane() -> None:
-        for call in on_helper:
-            call()
+    def stopped() -> bool:
+        return bool(errors) and not drain
 
-    def on_helper_thread() -> None:
-        if claim.acquire(blocking=False):
-            run_helper_lane()
+    def lane(i: int) -> None:
+        nonlocal running
+        while True:
+            with cond:
+                while not ready and running and not stopped():
+                    cond.wait()
+                if not ready or stopped():
+                    return
+                k = heappop(ready)
+                running += 1
+            try:
+                run(k, i)
+            except BaseException as exc:  # re-raised once both lanes stop
+                with cond:
+                    errors.append(exc)
+                return
+            else:
+                with cond:
+                    for d in dependents[k]:
+                        unmet[d] -= 1
+                        if unmet[d] == 0:
+                            heappush(ready, d)
+            finally:
+                with cond:
+                    running -= 1
+                    cond.notify()
 
-    future = _helper_thread().submit(on_helper_thread)
+    def helper_lane() -> None:
+        nonlocal started
+        with cond:
+            if closed:
+                return
+            started = True
+        lane(1)
+
+    helper = _helper_thread().submit(helper_lane) if len(tasks) > 1 else None
     try:
-        on_caller()
+        lane(0)
     finally:
-        mine = claim.acquire(blocking=False)
-        if not mine:
-            wait((future,))
-    if mine:
-        run_helper_lane()
-    else:
-        future.result()
+        with cond:
+            closed = True
+        if started:  # wait until the helper lets go of this run
+            helper.result()
+    if errors:
+        raise errors[0]
 
 
-def _forward_backward(family: ModelFamily,
-                      batch: tuple[np.ndarray, np.ndarray],
-                      config: TrainConfig, epoch: int, step: int,
-                      workspace: StepWorkspace | None
-                      ) -> tuple[list[float], list]:
-    """Train-mode forward, loss and backward of each view ``config``
-    trains, dropout keyed by its position among them, into ``workspace``
-    (built when None); then L2 on the base view's weight gradients. The
-    base view runs on the caller, the others in order on the helper; the
-    losses are checked in view order once both are done. Returns the
-    losses and the gradient sets (input layer first)."""
+def _step(family: ModelFamily, momentum: Sequence[MomentumState],
+          batch: tuple[np.ndarray, np.ndarray], config: TrainConfig,
+          epoch: int, step: int, workspace: StepWorkspace | None,
+          ema: bool) -> list[float]:
+    """Run the tasks of one step of the views ``config`` trains on the two
+    lanes, into ``workspace`` (built when None); returns each view's loss.
+
+    A "forward" task draws the model's dropout masks, keyed by its
+    position among the views, and runs its train-mode forward, loss and
+    output error; "error" and "weight" tasks run the backward's per-layer
+    pieces; the "check" raises :class:`DivergenceError` for the first
+    non-finite loss in view order, so no finish runs and nothing is
+    updated. A "finish" walks its rows of a group ``FINISH_ROWS`` at a
+    time: it adds L2 to the gradient read from the base view, pairs the
+    gradients (a family's, when ``ema``) or takes the one it reads,
+    updates momentum (EMA when ``ema``, else standard) and then the
+    parameters, each in place; the pairing's and momentum's temporaries go
+    into the gradient they consume, the L2 term into the lane's scratch.
+    """
+    if ema != (config.mode == "nsn"):
+        raise ConfigError(f"a {config.mode} config needs the "
+                          f"{'reference' if ema else 'family'} step")
     x, labels = batch
-    views = config.trained_views()
     if workspace is None:
         workspace = StepWorkspace(config, x.shape[0])
+    views = config.trained_views()
+    base = len(views) - 1
+    tasks, grad_sets = workspace.tasks, workspace.grad_sets
     losses: list[float] = [0.0] * len(views)
-    grad_sets: list = [None] * len(views)
-
-    def run(i: int) -> None:
-        buffers = workspace.models[i]
-        spec = buffers.spec
-        rng = (_dropout_rng(config, epoch, step, i)
-               if spec.uses_dropout else None)
-        view = family.view(views[i])
-        logp, _ = model_forward(spec, view, x, "train", rng, out=buffers)
-        losses[i] = nll_loss(logp, labels)
-        grad_sets[i] = model_backward(spec, view, buffers, labels)
-
-    def base_view() -> None:
-        run(len(views) - 1)
-        if config.l2_lambda > 0:
-            for grads, layer in zip(grad_sets[-1], family.view(family.n)):
-                grads.d_weight += l2_gradient(
-                    config.l2_lambda, layer.weight,
-                    out=workspace.scratch_like(layer.weight))
-
-    _in_two_lanes([partial(run, i) for i in range(len(views) - 1)],
-                  base_view)
-    for m, loss in zip(views, losses):
-        if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite loss at epoch {epoch} "
-                                  f"step {step} (model {m})")
-    return losses, grad_sets
-
-
-def _update(family: ModelFamily, momentum: Sequence[MomentumState],
-            group_grads: Sequence, config: TrainConfig, epoch: int,
-            ema: bool) -> None:
-    """Momentum (EMA when ``ema``, else standard), then the parameter
-    update, in place for every group: group n on the caller, groups
-    0..n-1 in order on the helper. Each group's temporaries go into the
-    gradient it consumes."""
+    lam, alpha = config.l2_lambda, config.schedule.alpha
     lr = lr_at(config.schedule, epoch)
-    alpha = config.schedule.alpha
 
-    def update(g: int) -> None:
-        grads, state, layer = group_grads[g], momentum[g], family.groups[g]
-        pairs = ((state.v_weight, grads.d_weight),
-                 (state.v_bias, grads.d_bias))
-        for v, grad in pairs:
+    def finish(task: Task, scratch: np.ndarray) -> None:
+        layer, state = family.groups[task.group], momentum[task.group]
+        for start in range(task.rows.start, task.rows.stop, FINISH_ROWS):
+            rows = slice(start, min(start + FINISH_ROWS, task.rows.stop))
+            weight = layer.weight[rows]
+            if lam > 0:
+                for i, j in task.grads:
+                    if i == base:
+                        grad_sets[i][j].d_weight[rows] += l2_gradient(
+                            lam, weight, out=scratch[:weight.shape[0]])
             if ema:
-                momentum_nsn(v, grad, alpha, out=v, scratch=grad)
+                (grads,) = paired_average_gradients(grad_sets, (task.group,),
+                                                    rows)
             else:
-                momentum_standard(v, grad, alpha, out=v)
-        for p, (v, grad) in zip((layer.weight, layer.bias), pairs):
-            apply_update(p, v, lr, out=p, scratch=grad)
+                i, j = task.grads[0]
+                grads = LayerGrads(grad_sets[i][j].d_weight[rows],
+                                   grad_sets[i][j].d_bias[rows])
+            pairs = ((state.v_weight[rows], grads.d_weight),
+                     (state.v_bias[rows], grads.d_bias))
+            for v, grad in pairs:
+                if ema:
+                    momentum_nsn(v, grad, alpha, out=v, scratch=grad)
+                else:
+                    momentum_standard(v, grad, alpha, out=v)
+            for p, (v, grad) in zip((weight, layer.bias[rows]), pairs):
+                apply_update(p, v, lr, out=p, scratch=grad)
 
-    _in_two_lanes([partial(update, g) for g in range(family.n)],
-                  partial(update, family.n))
+    def run(k: int, lane: int) -> None:
+        task = tasks[k]
+        if task.kind == "finish":
+            finish(task, workspace.scratch[lane])
+            return
+        if task.kind == "check":
+            for m, loss in zip(views, losses):
+                if not np.isfinite(loss):
+                    raise DivergenceError(f"non-finite loss at epoch {epoch} "
+                                          f"step {step} (model {m})")
+            return
+        buffers = workspace.models[task.model]
+        view = family.view(views[task.model])
+        if task.kind == "forward":
+            spec = buffers.spec
+            rng = (_dropout_rng(config, epoch, step, task.model)
+                   if spec.uses_dropout else None)
+            logp, _ = model_forward(spec, view, x, "train", rng, out=buffers)
+            losses[task.model] = nll_loss(logp, labels)
+            output_error(buffers, labels)
+        elif task.kind == "error":
+            layer_error(view, buffers, task.layer)
+        else:
+            weight_gradient(buffers, task.layer)
+
+    _run_tasks(tasks, run)
+    return losses
 
 
 def train_step(family: ModelFamily, momentum: Sequence[MomentumState],
@@ -325,11 +540,8 @@ def train_step(family: ModelFamily, momentum: Sequence[MomentumState],
     buffers for models 0..n; a fresh one is built when none is given.
     """
     copy_up(family)
-    losses, grad_sets = _forward_backward(
-        family, batch, config, epoch, step, workspace)
-    _update(family, momentum, paired_average_gradients(grad_sets), config,
-            epoch, ema=True)
-    return losses
+    return _step(family, momentum, batch, config, epoch, step, workspace,
+                 ema=True)
 
 
 def reference_step(family: ModelFamily, momentum: Sequence[MomentumState],
@@ -340,52 +552,46 @@ def reference_step(family: ModelFamily, momentum: Sequence[MomentumState],
     its own gradients, L2 on every weight layer, standard momentum.
     Arguments are as for :func:`train_step`; ``workspace`` holds buffers
     for the base model only."""
-    losses, (grads,) = _forward_backward(
-        family, batch, config, epoch, step, workspace)
-    _update(family, momentum, grads[::-1], config, epoch, ema=False)
-    return losses
+    return _step(family, momentum, batch, config, epoch, step, workspace,
+                 ema=False)
 
 
 def evaluate(params: Sequence[DenseLayer], dataset: Dataset,
              eval_batch: int = EVAL_BATCH) -> float:
     """Fraction of samples whose argmax log-probability equals the label.
 
-    The rows are split into chunks of ``eval_batch`` that the two lanes
-    share: each lane takes the next unclaimed chunk until none is left,
-    and their counts of correct rows are summed. Which lane runs a chunk
-    never changes its arithmetic, so the result does not depend on timing;
-    a set of one chunk runs on the caller alone. Each lane scales its byte
-    rows into its own array and runs the forward pass into its own
-    buffers, all made here before the lanes start, so no float copy of the
-    whole set is ever made.
+    The rows are split into chunks of ``eval_batch``, tasks with no
+    dependencies that the two lanes share (see :func:`_run_tasks`); each
+    lane counts the correct rows of the chunks it runs, and the counts are
+    summed. The chunks share nothing, so a lane whose chunk fails leaves
+    the rest to the other lane, and the error is raised once both stop.
+    Which lane runs a chunk never changes its arithmetic, so the result
+    does not depend on timing; a set of one chunk runs on the caller
+    alone. Each lane scales its byte rows into its own array and runs the
+    forward pass into its own buffers, all made here before the lanes
+    start, so no float copy of the whole set is ever made.
     """
     spec = spec_for_params(params)
     rows = min(eval_batch, dataset.count)
     dtype = np.result_type(np.float32, dataset.pixels,
                            *(layer.weight for layer in params))
-    chunks = range(0, dataset.count, eval_batch)
+    chunks = [Task("chunk", rows=slice(start, min(start + eval_batch,
+                                                  dataset.count)))
+              for start in range(0, dataset.count, eval_batch)]
     lanes = [(ModelBuffers(spec, rows, "eval", dtype),
               np.empty((rows, dataset.pixels.shape[1]), np.float32))
-             for _ in range(2 if len(chunks) > 1 else 1)]
-    unclaimed = iter(chunks)
-    claim = threading.Lock()
+             for _ in range(min(LANES, len(chunks)))]
     correct = [0] * len(lanes)
 
-    def run_lane(i: int) -> None:
-        buffers, scaled = lanes[i]
-        while True:
-            with claim:
-                start = next(unclaimed, None)
-            if start is None:
-                return
-            stop = min(start + eval_batch, dataset.count)
-            x = dataset.rows(slice(start, stop), out=scaled[:stop - start])
-            logp, _ = model_forward(spec, params, x, "eval", out=buffers)
-            correct[i] += int(np.sum(np.argmax(logp, axis=1)
-                                     == dataset.labels[start:stop]))
+    def run(k: int, lane: int) -> None:
+        buffers, scaled = lanes[lane]
+        chunk = chunks[k].rows
+        x = dataset.rows(chunk, out=scaled[:chunk.stop - chunk.start])
+        logp, _ = model_forward(spec, params, x, "eval", out=buffers)
+        correct[lane] += int(np.sum(np.argmax(logp, axis=1)
+                                    == dataset.labels[chunk]))
 
-    _in_two_lanes([partial(run_lane, i) for i in range(1, len(lanes))],
-                  partial(run_lane, 0))
+    _run_tasks(chunks, run, drain=True)
     return sum(correct) / dataset.count
 
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from nsn.errors import ConfigError, ConsistencyError
-from nsn.family import (ModelFamily, build_family, copy_up, detach,
-                        init_layer, paired_average_gradients, param_count)
+from nsn.family import (INIT_ROWS, ModelFamily, build_family, copy_up,
+                        detach, init_layer, paired_average_gradients,
+                        param_count)
 from nsn.nn import LayerGrads, model_forward, spec_for_params
 from nsn.verify import LiteralFamily, _toy_config
 
@@ -139,6 +141,29 @@ class TestPairedAverageGradients:
         out = paired_average_gradients(per_model)
         np.testing.assert_allclose(out[0].d_bias, [0.3], rtol=1e-6)
 
+    def test_one_group_in_row_ranges_equals_every_group_whole(self):
+        rng = np.random.default_rng(9)
+
+        def per_model():
+            return [[LayerGrads(rng.random((6, 3), dtype=np.float32),
+                                rng.random(6, dtype=np.float32))
+                     for _ in range(m + 1)] for m in range(3)]
+
+        whole = per_model()
+        split = [[LayerGrads(g.d_weight.copy(), g.d_bias.copy())
+                  for g in grads] for grads in whole]
+        want = paired_average_gradients(whole)
+        for g in (2, 0, 1):
+            for rows in (slice(0, 4), slice(4, 6)):
+                (got,) = paired_average_gradients(split, (g,), rows)
+                assert got.d_weight.tobytes() == \
+                    want[g].d_weight[rows].tobytes()
+                assert np.shares_memory(got.d_weight, split[g][0].d_weight)
+        for mine, theirs in zip(split, whole):
+            for a, b in zip(mine, theirs):
+                assert a.d_weight.tobytes() == b.d_weight.tobytes()
+                assert a.d_bias.tobytes() == b.d_bias.tobytes()
+
 
 class TestDetach:
     def test_zero_drop_is_base_model(self):
@@ -172,3 +197,29 @@ class TestInitLayer:
         assert layer.bias.shape == (3,)
         assert np.all(np.abs(layer.weight) <= 0.25)
         assert layer.weight.dtype == np.float32
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_row_blocks_give_the_bytes_of_one_whole_draw(self, seed):
+        # two whole blocks of INIT_ROWS rows and a short one
+        rows, cols = 2 * INIT_ROWS + 22, 40
+        layer = init_layer(rows, cols, np.random.default_rng(seed))
+        bound = 1.0 / np.sqrt(cols)
+        want = np.random.default_rng(seed).uniform(
+            -bound, bound, size=(rows, cols)).astype(np.float32)
+        assert layer.weight.tobytes() == want.tobytes()
+
+    def test_build_family_bytes_equal_the_whole_array_formula(self):
+        width, classes = 3 * INIT_ROWS + 5, 7
+        family = build_family(2, input_dim=width, classes=classes,
+                              init_seed=11)
+        bound = 1.0 / np.sqrt(width)
+        for g, group in enumerate(family.groups):
+            rng = np.random.default_rng([11, g])
+            shape = (classes if g == 0 else width, width)
+            want = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+            assert group.weight.tobytes() == want.tobytes()
+
+    def test_a_784_square_layer_peaks_below_its_weight_plus_1mb(self):
+        peak = traced_peak(lambda: init_layer(784, 784,
+                                              np.random.default_rng(3)))
+        assert peak < 784 * 784 * 4 + 2**20

@@ -20,10 +20,10 @@ from nsn.nn import (DenseLayer, ModelBuffers, model_backward, model_forward,
                     spec_for_params)
 from nsn.optim import MomentumState, Schedule, lr_at
 from nsn.train import (BEST_CHECKPOINT, BEST_FILE, EVAL_BATCH,
-                       FINAL_CHECKPOINT, METRICS_FILE, StepWorkspace,
+                       FINAL_CHECKPOINT, METRICS_FILE, StepWorkspace, Task,
                        TrainConfig, evaluate, family_from_checkpoint,
-                       init_family, reference_step, train, train_reference,
-                       train_step)
+                       init_family, reference_step, step_tasks, train,
+                       train_reference, train_step)
 import nsn.train as train_module
 
 
@@ -498,6 +498,14 @@ class TestConfigValidation:
             train(toy_config(mode="reference", n_hidden=1), ds, ds)
         with pytest.raises(ConfigError):
             train_reference(toy_config(mode="nsn"), ds, ds)
+        for mode, step_fn in (("reference", train_step),
+                              ("nsn", reference_step)):
+            config = toy_config(mode=mode, n_hidden=1)
+            family, momentum = fresh_family(config)
+            before = step_state(family, momentum)
+            with pytest.raises(ConfigError):
+                step_fn(family, momentum, toy_batch(config), config, 0)
+            assert step_state(family, momentum) == before
 
 
 def bad_set(case, count=32, input_dim=8, classes=3):
@@ -547,13 +555,13 @@ class TestByteBackedData:
 
 
 def workspace_arrays(workspace):
-    """Every array of ``workspace``, the L2 scratch last."""
+    """Every array of ``workspace``, the lanes' L2 scratch blocks last."""
     return [a for buffers in workspace.models
             for a in (*buffers.pre_acts, buffers.logp, *buffers.masks,
                       buffers.x_masked, *buffers.d_pre, buffers.draw,
                       *(x for g in buffers.grads
                         for x in (g.d_weight, g.d_bias)))
-            if a is not None] + [workspace.scratch]
+            if a is not None] + workspace.scratch
 
 
 def step_of(mode, family, config):
@@ -609,12 +617,13 @@ class TestStepWorkspace:
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
 
-    @pytest.mark.parametrize("mode,size", [("nsn", 16_808_120),
-                                           ("reference", 11_442_984)])
+    @pytest.mark.parametrize("mode,size", [("nsn", 14_964_152),
+                                           ("reference", 9_599_016)])
     def test_workspace_bytes_at_batch_128(self, mode, size):
         # a masked hidden layer holds no copy of its ReLU output: nsn2 has
         # three masked hidden layers over its models, ref2 two, each
-        # 128 x 784 float32 less than a copy per layer held
+        # 128 x 784 float32 less than a copy per layer held; the L2 scratch
+        # is a 98 x 784 float32 block per lane, not one 784 x 784 weight
         workspace = StepWorkspace(TrainConfig(mode=mode, n_hidden=2), 128)
         assert sum(a.nbytes for a in workspace_arrays(workspace)) == size
 
@@ -649,6 +658,16 @@ class InlineExecutor:
         return future
 
 
+def square_gemms(config, task):
+    """The batch x width x width GEMMs ``task`` runs: a forward's hidden
+    layers, and a backward piece of a hidden layer (every layer but the
+    head)."""
+    m = config.trained_views()[task.model]
+    if task.kind == "forward":
+        return m
+    return int(task.kind in ("error", "weight") and task.layer < m)
+
+
 def step_state(family, momentum):
     return array_bytes(family.groups) + array_bytes(momentum)
 
@@ -670,52 +689,73 @@ def workspace_bytes(workspace):
 
 
 class TestLanes:
-    def forward_threads(self, monkeypatch, hold_base):
-        """The thread idents each model's forward ran on, by model, over
-        three steps; with ``hold_base``, model n's forward first waits for
-        the helper to start its lane."""
-        config = toy_config(n_hidden=2)
-        family, momentum = fresh_family(config)
+    def step_threads(self, monkeypatch, mode, hold_caller):
+        """Run three steps of ``mode`` at n = 2; return the thread ident of
+        each task run, by task kind, and whether it ran square GEMMs. With
+        ``hold_caller``, a square-GEMM error task on the caller first waits
+        for the helper to start a square-GEMM task; one is always ready
+        beside it, the same layer's weight gradient."""
+        config = toy_config(mode=mode, n_hidden=2)
+        family = init_family(config)
+        momentum = [MomentumState.zeros_like(g) for g in family.groups]
         caller = threading.get_ident()
         helper_started = threading.Event()
-        threads = {}
+        ran = []
+        run_tasks = train_module._run_tasks
 
-        def recording_forward(spec, *args, **kwargs):
-            m = spec.n_layers - 1
-            threads.setdefault(m, set()).add(threading.get_ident())
-            if threading.get_ident() != caller:
-                helper_started.set()
-            elif m == 2 and hold_base:
-                assert helper_started.wait(10)
-            return model_forward(spec, *args, **kwargs)
+        def recording_run_tasks(tasks, run, drain=False):
+            def recorded(k, lane):
+                task = tasks[k]
+                square = square_gemms(config, task)
+                if square and threading.get_ident() != caller:
+                    helper_started.set()
+                elif square and task.kind == "error" and hold_caller:
+                    assert helper_started.wait(10)
+                run(k, lane)
+                ran.append((threading.get_ident(), task))
+            run_tasks(tasks, recorded, drain)
 
-        monkeypatch.setattr(train_module, "model_forward", recording_forward)
-        for step in range(3):
-            helper_started.clear()
-            train_step(family, momentum, toy_batch(config, step), config,
-                       0, step)
-        return threads
+        step_fn = train_step if mode == "nsn" else reference_step
+        with monkeypatch.context() as patch:
+            patch.setattr(train_module, "_run_tasks", recording_run_tasks)
+            for step in range(3):
+                helper_started.clear()
+                step_fn(family, momentum, toy_batch(config, step), config, 0,
+                        step)
+        return ran, step_state(family, momentum)
 
-    def test_lesser_models_run_on_another_thread_than_the_base(
-            self, monkeypatch):
-        threads = self.forward_threads(monkeypatch, hold_base=True)
-        assert threads[2] == {threading.get_ident()}
-        assert len(threads[0] | threads[1]) == 1
-        assert threads[0].isdisjoint(threads[2])
+    @pytest.mark.parametrize("mode", ["nsn", "reference"])
+    def test_both_threads_run_square_gemm_tasks(self, monkeypatch, mode):
+        ran, _ = self.step_threads(monkeypatch, mode, hold_caller=True)
+        config = toy_config(mode=mode, n_hidden=2)
+        threads = {thread for thread, task in ran
+                   if square_gemms(config, task)}
+        assert len(threads) == 2 and threading.get_ident() in threads
 
     def test_the_caller_runs_a_lane_the_busy_helper_has_not_started(
             self, monkeypatch):
-        gate = threading.Event()
-        busy = train_module._helper_thread().submit(gate.wait, 10)
-        try:
-            threads = self.forward_threads(monkeypatch, hold_base=False)
-        finally:
-            gate.set()
-            busy.result()
-        assert set().union(*threads.values()) == {threading.get_ident()}
+        for mode in ("nsn", "reference"):
+            config = toy_config(mode=mode, n_hidden=2)
+            _, threaded = run_steps(mode, config, [toy_batch(config, step)
+                                                   for step in range(3)])
+            gate = threading.Event()
+            busy = train_module._helper_thread().submit(gate.wait, 10)
+            try:
+                ran, state = self.step_threads(monkeypatch, mode,
+                                               hold_caller=False)
+            finally:
+                gate.set()
+                busy.result()
+            # every task of every step, in list order, on this thread
+            tasks = StepWorkspace(config, config.batch_size).tasks
+            assert [task for _, task in ran] == 3 * tasks
+            assert {thread for thread, _ in ran} == {threading.get_ident()}
+            assert state == threaded
 
     @pytest.mark.parametrize("mode,n_hidden", [("nsn", 1), ("nsn", 2),
-                                               ("nsn", 3), ("reference", 0),
+                                               ("nsn", 3), ("nsn", 4),
+                                               ("reference", 0),
+                                               ("reference", 1),
                                                ("reference", 2)])
     def test_threaded_lanes_equal_lanes_run_in_turn(self, monkeypatch, mode,
                                                     n_hidden):
@@ -749,14 +789,19 @@ class TestLanes:
         train_step(family, momentum, toy_batch(config), config, 0, 0)
         family.groups[0].weight[0, 0] = np.nan
         workspace = StepWorkspace(config, config.batch_size)
-        backward_done = []
+        backward_begun, backward_done = [], []
 
-        def counting_backward(*args, **kwargs):
-            grads = model_backward(*args, **kwargs)
-            backward_done.append(threading.get_ident())
-            return grads
+        def counting(piece):
+            def counted(*args, **kwargs):
+                backward_begun.append(threading.get_ident())
+                result = piece(*args, **kwargs)
+                backward_done.append(threading.get_ident())
+                return result
+            return counted
 
-        monkeypatch.setattr(train_module, "model_backward", counting_backward)
+        for name in ("layer_error", "weight_gradient"):
+            monkeypatch.setattr(train_module, name,
+                                counting(getattr(train_module, name)))
         before = step_state(family, momentum)
         with pytest.raises(DivergenceError,
                            match=r"^non-finite loss at epoch 0 step 1 "
@@ -764,11 +809,13 @@ class TestLanes:
             train_step(family, momentum, toy_batch(config, 1), config, 0, 1,
                        workspace)
         at_raise = step_state(family, momentum) + workspace_bytes(workspace)
-        assert len(backward_done) == 3  # every model's lane had finished
+        # every backward piece either lane had begun had finished
+        assert len(backward_done) == len(backward_begun)
         assert step_state(family, momentum) == before  # no update ran
         time.sleep(0.05)
         assert (step_state(family, momentum)
                 + workspace_bytes(workspace)) == at_raise
+        assert len(backward_done) == len(backward_begun)
 
     def test_an_error_in_the_helper_lane_is_raised_by_the_step(
             self, monkeypatch):
@@ -802,6 +849,115 @@ class TestLanes:
         assert exit_code_in_forked_child(
             lambda: train_step(family, momentum, toy_batch(config, 1),
                                config, 0, 1)) == 0
+
+
+class TestStepTasks:
+    @pytest.mark.parametrize("mode,n_hidden",
+                             [("nsn", n) for n in range(1, 7)]
+                             + [("reference", n) for n in range(4)])
+    def test_every_hazard_is_ordered_and_every_gradient_is_read(
+            self, mode, n_hidden):
+        config = TrainConfig(mode=mode, n_hidden=n_hidden)
+        views = config.trained_views()
+        tasks = step_tasks(config)
+        ancestors = []
+        for k, task in enumerate(tasks):
+            assert all(d < k for d in task.deps)  # a topological order
+            ancestors.append(set(task.deps).union(
+                *(ancestors[d] for d in task.deps)))
+        for k, task in enumerate(tasks):
+            for u, earlier in enumerate(tasks[:k]):
+                if (earlier.writes & (task.reads | task.writes)
+                        or earlier.reads & task.writes):
+                    assert u in ancestors[k]
+        (check,) = [k for k, task in enumerate(tasks) if task.kind == "check"]
+        finishes = [k for k, task in enumerate(tasks)
+                    if task.kind == "finish"]
+        for k in finishes:
+            g = tasks[k].group
+            # every pass that multiplies by group g's weight
+            readers = [u for u, task in enumerate(tasks)
+                       if task.kind == "forward" and views[task.model] >= g
+                       or task.kind == "error"
+                       and views[task.model] - task.layer == g]
+            assert readers and set(readers) <= ancestors[k]
+            assert check in ancestors[k]
+        formed = {(task.model, task.layer) for task in tasks
+                  if task.kind == "weight"}
+        read = {grad for k in finishes for grad in tasks[k].grads}
+        assert formed == read
+        if mode == "nsn":  # a model's input and second layers only
+            assert {j for _, j in formed} == ({0, 1} if n_hidden else {0})
+        else:
+            assert len(formed) == n_hidden + 1
+        rows = {}
+        for k in finishes:  # each group's rows, once
+            task = tasks[k]
+            rows.setdefault(task.group, []).extend(
+                range(task.rows.start, task.rows.stop))
+        assert rows == {g: list(range(config.classes if g == 0
+                                      else config.input_dim))
+                        for g in range(n_hidden + 1)}
+
+    @pytest.mark.parametrize("n_hidden,gemms", [(2, 7), (4, 23), (6, 47)])
+    def test_square_gemms_of_a_family_step(self, n_hidden, gemms):
+        # forming every gradient would take 7, 26 and 57
+        config = TrainConfig(n_hidden=n_hidden)
+        assert sum(square_gemms(config, task)
+                   for task in step_tasks(config)) == gemms
+
+    def test_gradients_nothing_reads_are_never_formed(self):
+        config = toy_config(n_hidden=4)
+        batches = [toy_batch(config, seed) for seed in range(3)]
+        want = run_steps("nsn", config, batches)
+        family = init_family(config)
+        momentum = [MomentumState.zeros_like(g) for g in family.groups]
+        workspace = StepWorkspace(config, config.batch_size)
+        unread = [a for buffers in workspace.models
+                  for grads in buffers.grads[2:]
+                  for a in (grads.d_weight, grads.d_bias)]
+        assert len(unread) == 2 * (1 + 2 + 3)
+        for a in unread:
+            a.fill(np.nan)
+        losses = [train_step(family, momentum, batch, config, 0, i,
+                             workspace)
+                  for i, batch in enumerate(batches)]
+        assert (losses, step_state(family, momentum)) == want
+        assert all(np.isnan(a).all() for a in unread)
+
+
+class TestRunTasks:
+    @pytest.mark.parametrize("failing_lane", [0, 1])
+    def test_a_task_failing_while_the_other_lane_waits_on_it_ends_the_run(
+            self, failing_lane):
+        # a and b are ready at once, c waits for both
+        tasks = [Task("a"), Task("b"), Task("c", deps=(0, 1))]
+        failing_started, other_done = threading.Event(), threading.Event()
+        ran, raised = [], []
+
+        def run(k, lane):
+            ran.append((tasks[k].kind, lane))
+            if lane == failing_lane:
+                failing_started.set()
+                assert other_done.wait(10)
+                time.sleep(0.05)  # the other lane now waits for this task
+                raise ShapeError("task failed")
+            assert failing_started.wait(10)
+            other_done.set()
+
+        def run_all():
+            try:
+                train_module._run_tasks(tasks, run)
+            except ShapeError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=run_all)
+        thread.start()
+        thread.join(10)
+        assert not thread.is_alive()
+        assert len(raised) == 1
+        assert sorted(lane for _, lane in ran) == [0, 1]
+        assert "c" not in [kind for kind, _ in ran]
 
 
 def exit_code_in_forked_child(fn):
