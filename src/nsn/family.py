@@ -123,28 +123,33 @@ def copy_up(family: ModelFamily) -> None:
 
 def paired_average_gradients(per_model_grads: list,
                              groups: Sequence[int] | None = None,
-                             rows: slice = slice(None)) -> list[LayerGrads]:
+                             rows: slice = slice(None),
+                             bias_rows: slice | None = None
+                             ) -> list[LayerGrads]:
     """Collapse per-model gradients into one gradient per canonical group.
 
     ``per_model_grads`` holds models 0..n, so n is its length - 1. Group
     g < n averages model g's input-layer gradient with model g+1's
     second-layer gradient; group n (the base model's input layer) passes
     through unaveraged. Only the ``groups`` given (every group when None)
-    are formed, and of each only ``rows`` of its weight and bias: the rule
-    is element-wise, so forming a group's rows in any split gives the
-    bytes of forming it whole. The averages are formed in place, in each
-    model's input-layer gradient, whose ``rows`` are returned for its
-    group, in the order of ``groups``, so the pass allocates no array.
+    are formed, and of each only ``rows`` of its weight and ``bias_rows``
+    of its bias (``rows`` when None): the rule is element-wise, so forming
+    a group's rows in any split gives the bytes of forming it whole. The
+    averages are formed in place, in each model's input-layer gradient,
+    whose rows are returned for its group, in the order of ``groups``, so
+    the pass allocates no array.
     """
     n = len(per_model_grads) - 1
     for m, grads in enumerate(per_model_grads):
         if len(grads) != m + 1:
             raise ConsistencyError(f"model {m} must have {m + 1} layer "
                                    f"gradients, got {len(grads)}")
+    if bias_rows is None:
+        bias_rows = rows
     out: list[LayerGrads] = []
     for g in range(n + 1) if groups is None else groups:
         own = per_model_grads[g][0]
-        mine = LayerGrads(own.d_weight[rows], own.d_bias[rows])
+        mine = LayerGrads(own.d_weight[rows], own.d_bias[bias_rows])
         out.append(mine)
         if g == n:
             continue
@@ -155,9 +160,10 @@ def paired_average_gradients(per_model_grads: list,
                 f"{own.d_weight.shape} vs {pair.d_weight.shape}")
         half = own.d_weight.dtype.type(0.5)
         for a, b in ((mine.d_weight, pair.d_weight[rows]),
-                     (mine.d_bias, pair.d_bias[rows])):
-            a += b
-            a *= half
+                     (mine.d_bias, pair.d_bias[bias_rows])):
+            if a.size:
+                a += b
+                a *= half
     return out
 
 

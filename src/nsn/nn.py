@@ -15,6 +15,14 @@ set. Either way the same float operations run in the same order, so results
 are bitwise equal. Those buffers are the pass's only record: the backward
 pass reads the activations and masks from them and writes its errors and
 gradients into them.
+
+Both passes are composed of per-layer pieces, which a training step runs as
+tasks of their own: :func:`forward_mask` and :func:`layer_forward` for the
+forward, :func:`output_error`, :func:`layer_error` and
+:func:`weight_gradient` for the backward. Eval-mode buffers of at most
+``FEATURE_MAJOR_ROWS`` rows hold their hidden pre-activations feature-major,
+which makes each hidden layer's product the faster W·Xᵀ GEMM on short
+batches; training and long evaluation passes stay row-major.
 """
 
 from __future__ import annotations
@@ -27,6 +35,20 @@ import numpy as np
 from .errors import ConfigError, ConsistencyError, ShapeError
 
 GRADCHECK_EPSILON = 1e-4
+# Eval-mode buffers of at most this many rows hold their hidden
+# pre-activations feature-major (Fortran order; see ModelBuffers). Swept
+# over 1-1024 rows on a 2-vCPU AVX-512 machine whose OpenBLAS 0.3.31 runs
+# SkylakeX kernels, one BLAS thread, eval passes of 784-wide models with one
+# and two hidden layers (m1, m2): feature-major took 0.52-0.56x the
+# row-major time at 2-16 rows, 0.64-0.78x at 32-64, 0.84-0.87x at 96-192,
+# 0.93-0.97x at 256, 0.95-0.99x at 320-512, and 1.03-1.07x at 768-1024.
+# There a feature-major square layer gave the row-major bytes at every row
+# count tried (1-320), and the head reading a feature-major input gave them
+# at 1 row and from 128 rows on (at rounding level apart between). So the
+# bound takes the gain up to 256 rows while passes of 128 rows and more
+# keep their bytes; above it the gain is 5% or less. It stays below
+# train.EVAL_BATCH, so an evaluation's chunks run row-major.
+FEATURE_MAJOR_ROWS = 256
 
 
 @dataclass(eq=False)
@@ -116,6 +138,15 @@ class ModelBuffers:
     is masked), and the backward pass's error per layer and the gradient
     set. ``x`` is the input of the last train-mode pass, None until one has
     run and after an eval-mode pass.
+
+    Eval buffers of at most ``FEATURE_MAJOR_ROWS`` rows hold the hidden
+    pre-activations feature-major (Fortran order), so :func:`dense_forward`
+    runs each hidden layer as the W·Xᵀ GEMM, which OpenBLAS's SkylakeX
+    kernels run faster on short batches (the constant's comment has the
+    sweep); the head's output and the log-probabilities stay row-major.
+    Every other array, and every array of a longer or train-mode set, is
+    row-major, so training and an evaluation's 1024-row chunks keep their
+    bytes.
     """
 
     def __init__(self, spec: ModelSpec, rows: int, mode: str = "train",
@@ -126,7 +157,10 @@ class ModelBuffers:
         train = mode == "train"
         self.spec, self.rows, self.mode = spec, rows, mode
         self.x: np.ndarray | None = None
-        self.pre_acts = [np.empty((rows, d), dtype) for d in dims[1:]]
+        hidden = "F" if not train and rows <= FEATURE_MAJOR_ROWS else "C"
+        self.pre_acts = ([np.empty((rows, d), dtype, order=hidden)
+                          for d in dims[1:-1]]
+                         + [np.empty((rows, dims[-1]), dtype)])
         self.logp = np.empty((rows, dims[-1]), dtype)
         in_keep = spec.input_keep if train else 1.0
         hidden_keep = spec.hidden_keep if train else 1.0
@@ -151,14 +185,23 @@ class ModelBuffers:
 
 def dense_forward(x: np.ndarray, layer: DenseLayer,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """x @ W.T + b, bias broadcast over rows, written into ``out`` when
-    given."""
+    """x @ W.T + b, bias broadcast over rows, written into ``out``, a fresh
+    row-major array when None.
+
+    The product is formed as W · xᵀ into the transpose of ``out``. Into a
+    row-major ``out`` numpy makes the BLAS call of x @ W.T, with the same
+    bytes; into a feature-major (Fortran-order) one it makes the W·Xᵀ call
+    itself, which is faster on short batches (see ``FEATURE_MAJOR_ROWS``).
+    """
     if x.ndim != 2 or x.shape[1] != layer.in_dim:
         raise ShapeError(f"dense_forward: input {x.shape} does not match "
                          f"weight {layer.weight.shape}")
-    z = np.matmul(x, layer.weight.T, out=out)
-    z += layer.bias
-    return z
+    if out is None:
+        out = np.empty((x.shape[0], layer.out_dim),
+                       np.result_type(x, layer.weight))
+    np.matmul(layer.weight, x.T, out=out.T)
+    out += layer.bias
+    return out
 
 
 def relu(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -230,6 +273,50 @@ def _check_buffers(spec: ModelSpec, out: ModelBuffers, rows: int,
         raise ConsistencyError("a train-mode pass needs train-mode buffers")
 
 
+def forward_mask(buffers: ModelBuffers, i: int, rows: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Draw the dropout mask of layer i's input for a train-mode pass of
+    ``rows`` rows into ``buffers.masks[i]``, its uniform draws into
+    ``buffers.draw``: the input's mask for layer 0, else the mask of layer
+    i - 1's ReLU output. A pass draws its masks from one generator, in layer
+    order."""
+    spec = buffers.spec
+    shape = (rows, spec.dims[i])
+    return dropout_mask(shape, spec.input_keep if i == 0 else spec.hidden_keep,
+                        rng, out=buffers.masks[i][:rows],
+                        draw=buffers.draw_for(shape))
+
+
+def layer_forward(params: Sequence[DenseLayer], buffers: ModelBuffers,
+                  x: np.ndarray, i: int, train: bool = False) -> np.ndarray:
+    """Layer i of the pass of ``x`` into ``buffers``; returns layer i's
+    pre-activation, or for the last layer the log-probabilities.
+
+    Layer 0 takes ``x``, in a train-mode pass masked into
+    ``buffers.x_masked`` where a mask was drawn for it, and records ``x``
+    for the backward (None in an eval-mode pass). Layer i > 0 takes layer
+    i - 1's pre-activation and applies ReLU and, in a train-mode pass, the
+    drawn mask to it in place. The product goes through
+    :func:`dense_forward` into ``buffers.pre_acts[i]``; the last layer also
+    writes its log-softmax into ``buffers.logp``.
+    """
+    rows = x.shape[0]
+    mask = buffers.masks[i] if train else None
+    if i == 0:
+        buffers.x = x if train else None
+        h = (x if mask is None
+             else np.multiply(x, mask[:rows], out=buffers.x_masked[:rows]))
+    else:
+        h = buffers.pre_acts[i - 1][:rows]
+        relu(h, out=h)
+        if mask is not None:
+            h *= mask[:rows]
+    z = dense_forward(h, params[i], out=buffers.pre_acts[i][:rows])
+    if i < len(params) - 1:
+        return z
+    return log_softmax(z, out=buffers.logp[:rows])
+
+
 def model_forward(spec: ModelSpec, params: Sequence[DenseLayer],
                   x: np.ndarray, mode: str = "eval",
                   rng: np.random.Generator | None = None,
@@ -238,11 +325,14 @@ def model_forward(spec: ModelSpec, params: Sequence[DenseLayer],
     """Run the full network; returns (log-probabilities, buffers).
 
     In train mode, dropout masks are drawn from ``rng`` wherever the spec's
-    keep probability is below 1 (so train mode with all keeps at 1 is
-    bitwise identical to eval mode, and needs no rng). Every array the pass
-    computes, the returned ones included, lies in the buffers returned:
-    ``out`` when it is given, a fresh :class:`ModelBuffers` otherwise. A
-    train-mode pass keeps a reference to ``x`` there for the backward pass.
+    keep probability is below 1 (so train mode with all keeps at 1 needs no
+    rng, and computes what eval mode computes into row-major buffers). Every
+    array the pass computes, the returned ones included, lies in the
+    buffers returned: ``out`` when it is given, a fresh
+    :class:`ModelBuffers` otherwise. A train-mode pass keeps a reference to
+    ``x`` there for the backward pass. The pass is :func:`forward_mask` for
+    each masked layer, in layer order, then :func:`layer_forward` for each
+    layer.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -259,22 +349,13 @@ def model_forward(spec: ModelSpec, params: Sequence[DenseLayer],
             x, *(layer.weight for layer in params)))
     _check_buffers(spec, out, rows, mode)
 
-    out.x = x if train else None
-    h = x
-    if train and spec.input_keep < 1.0:
-        mask = dropout_mask(h.shape, spec.input_keep, rng,
-                            out=out.masks[0][:rows],
-                            draw=out.draw_for(h.shape))
-        h = np.multiply(h, mask, out=out.x_masked[:rows])
-    for i, layer in enumerate(params[:-1]):
-        z = dense_forward(h, layer, out=out.pre_acts[i][:rows])
-        h = relu(z, out=z)
-        if train and spec.hidden_keep < 1.0:
-            h *= dropout_mask(h.shape, spec.hidden_keep, rng,
-                              out=out.masks[i + 1][:rows],
-                              draw=out.draw_for(h.shape))
-    z = dense_forward(h, params[-1], out=out.pre_acts[-1][:rows])
-    return log_softmax(z, out=out.logp[:rows]), out
+    if train:
+        for i, mask in enumerate(out.masks):
+            if mask is not None:
+                forward_mask(out, i, rows, rng)
+    for i in range(len(params)):
+        h = layer_forward(params, out, x, i, train)
+    return h, out
 
 
 def layer_input(buffers: ModelBuffers, i: int) -> np.ndarray:

@@ -16,9 +16,13 @@ its update reads: a family's model m never forms those of its layers
 2..m.
 
 A step is a fixed list of tasks (:func:`step_tasks`, built once per run
-with the :class:`StepWorkspace`): each model's forward, each layer's
-backward error, each weight gradient, the loss check, and each group's
-finish (L2, pairing, momentum and update) in row halves. A task waits for
+with the :class:`StepWorkspace`): each dropout mask of each model, each
+layer's forward, each layer's backward error, each weight gradient, the
+loss check, and each group's finish (L2, pairing, momentum and update) in
+row halves. A model's masks are drawn one after the other from its
+generator, in layer order, so the draws are those of one whole forward
+pass; a layer's forward waits only for its own mask, so the other lane
+can draw the next masks while the first layer's GEMM runs. A task waits for
 every earlier task that writes what it reads or writes, or reads what it
 writes. The list runs on two lanes, the calling thread and one helper
 thread per process, started on first use: each lane claims the first task
@@ -59,15 +63,18 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .errors import ConfigError, ConsistencyError, DivergenceError, FormatError
+from .errors import (ConfigError, ConsistencyError, DivergenceError,
+                     FormatError, ShapeError)
 from .family import (ModelFamily, build_family, copy_up, init_layer,
                      paired_average_gradients)
 from .mnist import BatchPlan, Dataset, batches, load_data_dir
-# model_backward is not called here: the step runs its pieces as tasks.
-# perfbench wraps nsn.train.model_backward by name, so the name stays.
+# A step calls neither model_forward nor model_backward: it runs their
+# pieces as tasks. perfbench wraps both by name in nsn.train, so the names
+# stay.
 from .nn import (DenseLayer, LayerGrads, ModelBuffers, ModelSpec,  # noqa: F401
-                 layer_error, model_backward, model_forward, nll_loss,
-                 output_error, spec_for_params, weight_gradient)
+                 forward_mask, layer_error, layer_forward, model_backward,
+                 model_forward, nll_loss, output_error, spec_for_params,
+                 weight_gradient)
 from .optim import (MomentumState, Schedule, apply_update, l2_gradient, lr_at,
                     momentum_nsn, momentum_standard)
 
@@ -77,7 +84,8 @@ DEFAULT_BATCH = 128
 # what one 2048-row batch's did. With the kernels OpenBLAS 0.3.31 picks
 # at run time on an AVX-512 machine (SkylakeX), a row's GEMM result is the
 # same in any chunk of 128 rows or more, so 1024-row chunks give the
-# logits 2048-row batches gave.
+# logits 2048-row batches gave. Buffers of this many rows are above
+# nn.FEATURE_MAJOR_ROWS, so they are row-major.
 EVAL_BATCH = 1024
 
 METRICS_FILE = "metrics.csv"
@@ -174,12 +182,14 @@ def _dropout_rng(config: TrainConfig, epoch: int, step: int,
 
 
 LANES = 2  # the calling thread and one helper thread
-# A finish walks its rows in blocks of this many, doing a block's L2,
-# pairing, momentum and update before the next, so the five 98 x 784
-# float32 blocks it touches (1.5 MB) stay in a 2 MB L2 cache; a 784-row
+# A finish walks its weight rows in blocks of this many, doing a block's
+# L2, pairing, momentum and update before the next, so the five 98 x 784
+# float32 blocks it touches (1.5 MB) stay in a 2 MB L2 cache; a 392-row
 # half is four blocks. On one core, a 784 x 784 finish took 1.1-1.5 ms in
 # such blocks against 1.6-2.0 ms whole; 64-row blocks were as fast alone
-# but, as the other lane's finish ran beside them, slower than whole.
+# but, as the other lane's finish ran beside them, slower than whole. The
+# bias rows of the task then go in one pass: a block makes 9 numpy calls,
+# not 16, and the two lanes' calls slow each other per call.
 FINISH_ROWS = 98
 # What one element costs in the multiply-adds of a GEMM that takes as long
 # (a 128 x 784 mask and a 784 x 784 finish against a 128 x 784 x 784 GEMM
@@ -193,10 +203,12 @@ FINISH_MACS = 80
 class Task:
     """One unit of work that a lane runs whole.
 
-    A step's tasks (see :func:`step_tasks`) are a ``kind``: the "forward"
-    of the trained model at ``model`` (its position among the trained
-    views), with its masks, loss and output error; the "error" of that
-    model's ``layer`` - 1 from ``layer``'s; the "weight" gradient of its
+    A step's tasks (see :func:`step_tasks`) are a ``kind``: the "mask" of
+    ``layer``'s input of the trained model at ``model`` (its position among
+    the trained views); the "forward" of that model's ``layer``, which
+    applies ReLU and the layer's mask to its input and runs its GEMM, and
+    at the last layer the loss and output error; the "error" of its
+    ``layer`` - 1 from ``layer``'s; the "weight" gradient of its
     ``layer``; the loss "check"; and the "finish" of ``rows`` of
     ``group``: the L2, pairing, momentum and update of those rows, reading
     the gradients ``grads``, (model, layer) pairs, its own first. An
@@ -227,16 +239,20 @@ def _halves(rows: int) -> list[slice]:
 def step_tasks(config: TrainConfig) -> list[Task]:
     """A step's tasks for ``config``, in the order the lanes claim them.
 
-    Tasks are first listed in the order one thread would run them: every
-    trained model's forward, then each model's backward, head first (the
-    weight gradient of a layer, then the error below it), the loss check,
-    and each group's finish, head group first, in row halves. A weight
-    gradient is formed only where a finish reads it: in a family, model
-    m's input and second layers (its own and its pair's group), in a
-    baseline every layer. A task depends on every earlier task that writes
-    what it reads or writes, or reads what it writes; so a finish of group
-    g follows every forward and error that multiplies by g's weight, and
-    every finish follows the loss check. The list is then ordered by the
+    Tasks are first listed in the order one thread would run them: for
+    every trained model, its masks and then its layers' forwards, input
+    layer first; then each model's backward, head first (the weight
+    gradient of a layer, then the error below it), the loss check, and
+    each group's finish, head group first, in row halves. A model's masks
+    share its generator and draw array, so each mask waits for the one
+    before it and they are drawn in layer order; a layer's forward waits
+    for its own mask and the layer below. A weight gradient is formed only
+    where a finish reads it: in a family, model m's input and second layers
+    (its own and its pair's group), in a baseline every layer. A task
+    depends on every earlier task that writes what it reads or writes, or
+    reads what it writes; so a finish of group g follows every forward and
+    error that multiplies by g's weight, and every finish follows the loss
+    check. The list is then ordered by the
     longest chain of costs from each task to the end of the step, longest
     first, ties in listed order, which keeps every task after the tasks it
     depends on.
@@ -252,6 +268,11 @@ def step_tasks(config: TrainConfig) -> list[Task]:
     else:
         sources = [[(0, n - g)] for g in range(n + 1)]
     formed = {grad for grads in sources for grad in grads}
+    masked = []  # per model, the layers whose input it masks
+    for m in views:
+        spec = config.model_spec(m)
+        keeps = [spec.input_keep] + [spec.hidden_keep] * (spec.n_layers - 1)
+        masked.append([j for j, keep in enumerate(keeps) if keep < 1.0])
 
     def param(g):
         return {("param", g, k) for k in range(len(parts[g]))}
@@ -260,39 +281,48 @@ def step_tasks(config: TrainConfig) -> list[Task]:
         g = views[i] - j
         return {("grad", i, j, k) for k in range(len(parts[g]))}
 
+    def mask(i, j):
+        return {("mask", i, j)} if j in masked[i] else set()
+
     def gemm(dims, j):
         return config.batch_size * dims[j] * dims[j + 1] / square
 
+    # ("act", i, j) is what layer j of model i wrote: its pre-activation,
+    # then its masked ReLU output, and at the head the log-probabilities;
+    # ("act", i, -1) is the model's record of its input and masked input.
     listed = []
     for i, m in enumerate(views):
-        spec = config.model_spec(m)
-        dims = spec.dims
-        keeps = [spec.input_keep] + [spec.hidden_keep] * (spec.n_layers - 1)
-        masked = sum(d for d, keep in zip(dims, keeps) if keep < 1.0)
-        listed.append(Task(
-            "forward", model=i,
-            reads=frozenset().union(*(param(m - j)
-                                      for j in range(spec.n_layers))),
-            writes=frozenset({("acts", i), ("error", i, spec.n_layers - 1)}),
-            cost=(sum(gemm(dims, j) for j in range(spec.n_layers))
-                  + MASK_MACS * config.batch_size * masked / square)))
+        dims = config.model_spec(m).dims
+        last = len(dims) - 2
+        for j in masked[i]:
+            listed.append(Task(
+                "mask", model=i, layer=j,
+                writes=frozenset({("rng", i), ("mask", i, j)}),
+                cost=MASK_MACS * config.batch_size * dims[j] / square))
+        for j in range(last + 1):
+            ends = {("error", i, j), ("loss", i)} if j == last else set()
+            listed.append(Task(
+                "forward", model=i, layer=j,
+                reads=frozenset(param(m - j) | mask(i, j)),
+                writes=frozenset({("act", i, j - 1), ("act", i, j)} | ends),
+                cost=gemm(dims, j)))
     for i, m in enumerate(views):
         dims = config.model_spec(m).dims
         for j in reversed(range(len(dims) - 1)):
             if (i, j) in formed:
                 listed.append(Task(
                     "weight", model=i, layer=j,
-                    reads=frozenset({("acts", i), ("error", i, j)}),
+                    reads=frozenset({("act", i, j - 1), ("error", i, j)}),
                     writes=frozenset(grad(i, j)), cost=gemm(dims, j)))
             if j > 0:
                 listed.append(Task(
                     "error", model=i, layer=j,
-                    reads=frozenset({("acts", i), ("error", i, j)}
-                                    | param(m - j)),
+                    reads=frozenset({("act", i, j - 1), ("error", i, j)}
+                                    | mask(i, j) | param(m - j)),
                     writes=frozenset({("error", i, j - 1)}),
                     cost=gemm(dims, j)))
     listed.append(Task("check",
-                       reads=frozenset(("acts", i) for i in range(base + 1)),
+                       reads=frozenset(("loss", i) for i in range(base + 1)),
                        writes=frozenset({("checked",)})))
     for g in range(n + 1):
         for k, rows in enumerate(parts[g]):
@@ -449,17 +479,21 @@ def _step(family: ModelFamily, momentum: Sequence[MomentumState],
     """Run the tasks of one step of the views ``config`` trains on the two
     lanes, into ``workspace`` (built when None); returns each view's loss.
 
-    A "forward" task draws the model's dropout masks, keyed by its
-    position among the views, and runs its train-mode forward, loss and
-    output error; "error" and "weight" tasks run the backward's per-layer
-    pieces; the "check" raises :class:`DivergenceError` for the first
-    non-finite loss in view order, so no finish runs and nothing is
-    updated. A "finish" walks its rows of a group ``FINISH_ROWS`` at a
-    time: it adds L2 to the gradient read from the base view, pairs the
-    gradients (a family's, when ``ema``) or takes the one it reads,
-    updates momentum (EMA when ``ema``, else standard) and then the
-    parameters, each in place; the pairing's and momentum's temporaries go
-    into the gradient they consume, the L2 term into the lane's scratch.
+    A "mask" task draws one dropout mask of a model from the model's
+    generator, keyed by its position among the views and made by the
+    model's first mask task; "forward", "error" and "weight" tasks run the
+    forward's and backward's per-layer pieces, and a model's last
+    "forward" its loss and output error; the "check" raises
+    :class:`DivergenceError` for the first non-finite loss in view order,
+    so no finish runs and nothing is updated. A "finish" walks its weight
+    rows of a group ``FINISH_ROWS`` at a time: it adds L2 to the gradient
+    read from the base view, pairs the gradients (a family's, when
+    ``ema``) or takes the one it reads, updates momentum (EMA when ``ema``,
+    else standard) and then the parameters, each in place; then it does
+    the same, without L2, for its bias rows in one pass. The pairing's and
+    momentum's temporaries go into the gradient they consume, the L2 term
+    into the lane's scratch. A batch of more rows than ``workspace`` holds,
+    or not ``config.input_dim`` wide, is a :class:`ShapeError`.
     """
     if ema != (config.mode == "nsn"):
         raise ConfigError(f"a {config.mode} config needs the "
@@ -467,12 +501,34 @@ def _step(family: ModelFamily, momentum: Sequence[MomentumState],
     x, labels = batch
     if workspace is None:
         workspace = StepWorkspace(config, x.shape[0])
+    held = workspace.models[0].rows
+    if x.ndim != 2 or x.shape[0] > held or x.shape[1] != config.input_dim:
+        raise ShapeError(f"a batch of shape {x.shape} does not fit a "
+                         f"workspace of {held} x {config.input_dim}")
     views = config.trained_views()
     base = len(views) - 1
     tasks, grad_sets = workspace.tasks, workspace.grad_sets
     losses: list[float] = [0.0] * len(views)
+    rngs: list[np.random.Generator | None] = [None] * len(views)
     lam, alpha = config.l2_lambda, config.schedule.alpha
     lr = lr_at(config.schedule, epoch)
+    no_rows = slice(0, 0)
+
+    def gradient(task: Task, rows: slice, bias_rows: slice) -> LayerGrads:
+        if ema:
+            (grads,) = paired_average_gradients(grad_sets, (task.group,),
+                                                rows, bias_rows)
+            return grads
+        i, j = task.grads[0]
+        return LayerGrads(grad_sets[i][j].d_weight[rows],
+                          grad_sets[i][j].d_bias[bias_rows])
+
+    def descend(p: np.ndarray, v: np.ndarray, grad: np.ndarray) -> None:
+        if ema:
+            momentum_nsn(v, grad, alpha, out=v, scratch=grad)
+        else:
+            momentum_standard(v, grad, alpha, out=v)
+        apply_update(p, v, lr, out=p, scratch=grad)
 
     def finish(task: Task, scratch: np.ndarray) -> None:
         layer, state = family.groups[task.group], momentum[task.group]
@@ -484,22 +540,10 @@ def _step(family: ModelFamily, momentum: Sequence[MomentumState],
                     if i == base:
                         grad_sets[i][j].d_weight[rows] += l2_gradient(
                             lam, weight, out=scratch[:weight.shape[0]])
-            if ema:
-                (grads,) = paired_average_gradients(grad_sets, (task.group,),
-                                                    rows)
-            else:
-                i, j = task.grads[0]
-                grads = LayerGrads(grad_sets[i][j].d_weight[rows],
-                                   grad_sets[i][j].d_bias[rows])
-            pairs = ((state.v_weight[rows], grads.d_weight),
-                     (state.v_bias[rows], grads.d_bias))
-            for v, grad in pairs:
-                if ema:
-                    momentum_nsn(v, grad, alpha, out=v, scratch=grad)
-                else:
-                    momentum_standard(v, grad, alpha, out=v)
-            for p, (v, grad) in zip((weight, layer.bias[rows]), pairs):
-                apply_update(p, v, lr, out=p, scratch=grad)
+            descend(weight, state.v_weight[rows],
+                    gradient(task, rows, no_rows).d_weight)
+        descend(layer.bias[task.rows], state.v_bias[task.rows],
+                gradient(task, no_rows, task.rows).d_bias)
 
     def run(k: int, lane: int) -> None:
         task = tasks[k]
@@ -512,15 +556,19 @@ def _step(family: ModelFamily, momentum: Sequence[MomentumState],
                     raise DivergenceError(f"non-finite loss at epoch {epoch} "
                                           f"step {step} (model {m})")
             return
-        buffers = workspace.models[task.model]
-        view = family.view(views[task.model])
+        i = task.model
+        buffers = workspace.models[i]
+        if task.kind == "mask":
+            if rngs[i] is None:
+                rngs[i] = _dropout_rng(config, epoch, step, i)
+            forward_mask(buffers, task.layer, x.shape[0], rngs[i])
+            return
+        view = family.view(views[i])
         if task.kind == "forward":
-            spec = buffers.spec
-            rng = (_dropout_rng(config, epoch, step, task.model)
-                   if spec.uses_dropout else None)
-            logp, _ = model_forward(spec, view, x, "train", rng, out=buffers)
-            losses[task.model] = nll_loss(logp, labels)
-            output_error(buffers, labels)
+            out = layer_forward(view, buffers, x, task.layer, train=True)
+            if task.layer == len(view) - 1:
+                losses[i] = nll_loss(out, labels)
+                output_error(buffers, labels)
         elif task.kind == "error":
             layer_error(view, buffers, task.layer)
         else:

@@ -29,12 +29,40 @@ def fake_openblas(monkeypatch, keeps):
     return set_to
 
 
-def test_numpy_loaded_before_nsn_still_evaluates_on_one_thread():
-    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    env = dict(os.environ, **{name: "2" for name in names})
+def python_output(code: str, **env_vars: str | None) -> str:
+    """Standard output of ``code`` run by a fresh Python on these sources,
+    with ``env_vars`` set (or removed where None)."""
+    env = dict(os.environ)
+    for name, value in env_vars.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
     src = str(Path(nsn.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_the_kernel_record_names_the_version_and_the_core_picked():
+    code = """
+import numpy
+from nsn.blas import kernels
+found = kernels()
+print("none" if found is None else f"{found.version} {found.core}")
+"""
+    default = python_output(code, OPENBLAS_CORETYPE=None).split()
+    if default == ["none"]:
+        pytest.skip("numpy loaded no OpenBLAS")
+    version, core = default
+    assert all(part.isdigit() for part in version.split("."))
+    assert core
+    forced = python_output(code, OPENBLAS_CORETYPE="Haswell").split()
+    assert forced == [version, "Haswell"]
+
+
+def test_numpy_loaded_before_nsn_still_evaluates_on_one_thread():
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     code = """
 import numpy as np
 from nsn.blas import _openblas
@@ -55,11 +83,10 @@ else:
              ds, 128)
     print(before, get())
 """
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    if proc.stdout.split() == ["none"]:
+    out = python_output(code, **{name: "2" for name in names})
+    if out.split() == ["none"]:
         pytest.skip("numpy loaded no OpenBLAS")
-    before, after = map(int, proc.stdout.split())
+    before, after = map(int, out.split())
     assert after == 1, f"{before} threads before the evaluation"
 
 

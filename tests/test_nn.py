@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nsn.errors import ConfigError, ConsistencyError, ShapeError
-from nsn import nn
+from nsn import blas, nn
+from nsn.family import build_family
 
 
 def layer_of(weight, bias=None):
@@ -52,6 +53,15 @@ class TestDenseForward:
         with pytest.raises(ShapeError):
             nn.dense_forward(np.zeros((2, 3), np.float32),
                              layer_of(np.eye(2)))
+
+    @pytest.mark.parametrize("rows", [1, 5, 64])
+    def test_a_fresh_output_is_row_major_with_the_bytes_of_x_at_w_t(self,
+                                                                   rows):
+        x = np.random.default_rng(3).random((rows, 40), dtype=np.float32)
+        (layer,) = random_layers((40, 30), seed=4)
+        got = nn.dense_forward(x, layer)
+        assert got.flags.c_contiguous and got.dtype == np.float32
+        assert got.tobytes() == (x @ layer.weight.T + layer.bias).tobytes()
 
 
 class TestRelu:
@@ -427,6 +437,86 @@ class TestModelBuffers:
         with pytest.raises(ShapeError):
             nn.model_forward(spec, params, np.zeros((3, 6), np.float32),
                              "eval", out=nn.ModelBuffers(spec, 2, "eval"))
+
+
+def runs_skylakex_kernels() -> bool:
+    found = blas.kernels()
+    return found is not None and found.core == "SkylakeX"
+
+
+def row_major_chain(params, x):
+    """The hidden ReLU outputs and the log-probabilities of ``x`` through
+    ``params`` as plain row-major products, x @ W.T + b per layer."""
+    hidden, h = [], x
+    for layer in params[:-1]:
+        h = np.maximum(h @ layer.weight.T + layer.bias, 0)
+        hidden.append(h)
+    return hidden, nn.log_softmax(h @ params[-1].weight.T + params[-1].bias)
+
+
+# every count to 33, around the multiples of 16 and 32 above it, the
+# 128-row edge of the head's bytes, and the feature-major bound
+ROW_COUNTS = sorted({*range(1, 34), 47, 48, 49, 63, 64, 65, 95, 96, 97, 100,
+                     127, 128, 129, 150, 191, 192, 193, 200,
+                     nn.FEATURE_MAJOR_ROWS - 1, nn.FEATURE_MAJOR_ROWS,
+                     nn.FEATURE_MAJOR_ROWS + 1, 299, 300})
+
+
+class TestFeatureMajorPasses:
+    """Eval passes of at most FEATURE_MAJOR_ROWS rows run their hidden
+    layers feature-major. With OpenBLAS's SkylakeX kernels a 784-wide
+    hidden layer then gives the row-major bytes, and the head reading a
+    feature-major input gives them at 1 row and from 128 rows on, at
+    rounding level apart between. Other kernel sets (Haswell's differ from
+    4 rows up) keep only the rounding-level agreement."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_short_passes_against_a_row_major_chain(self, n):
+        view = build_family(3, init_seed=50).view(n)
+        spec = nn.spec_for_params(view)
+        x = np.random.default_rng(51).random((300, 784), dtype=np.float32)
+        skylakex = runs_skylakex_kernels()
+        for rows in ROW_COUNTS:
+            logp, buffers = nn.model_forward(spec, view, x[:rows], "eval")
+            hidden, want = row_major_chain(view, x[:rows])
+            feature_major = rows <= nn.FEATURE_MAJOR_ROWS
+            assert all((a.strides[0] == a.itemsize) == feature_major
+                       for a in buffers.pre_acts[:-1])
+            assert buffers.pre_acts[-1].flags.c_contiguous
+            assert logp.flags.c_contiguous
+            np.testing.assert_allclose(logp, want, rtol=1e-5, atol=1e-5)
+            bitwise_hidden = skylakex or not feature_major
+            for a, b in zip(buffers.pre_acts, hidden):
+                assert (a.tobytes() == b.tobytes()) or not bitwise_hidden, rows
+            if not feature_major or skylakex and (rows == 1 or rows >= 128):
+                assert logp.tobytes() == want.tobytes(), rows
+
+    def test_buffers_used_for_fewer_rows_give_fresh_buffers_logits(self):
+        view = build_family(2, init_seed=52).view(2)
+        spec = nn.spec_for_params(view)
+        x = np.random.default_rng(53).random((300, 784), dtype=np.float32)
+        bound = nn.FEATURE_MAJOR_ROWS
+        for held, counts in ((bound, (1, 2, 17, 100, 128, bound - 1)),
+                             (300, (bound + 1, 299))):
+            buffers = nn.ModelBuffers(spec, held, "eval")
+            for rows in counts:
+                got, _ = nn.model_forward(spec, view, x[:rows], "eval",
+                                          out=buffers)
+                want, _ = nn.model_forward(spec, view, x[:rows], "eval")
+                assert got.tobytes() == want.tobytes(), (held, rows)
+
+    def test_only_short_eval_buffers_are_feature_major(self):
+        spec = nn.ModelSpec((6, 5, 5, 4), input_keep=0.8, hidden_keep=0.5)
+        bound = nn.FEATURE_MAJOR_ROWS
+        for rows, mode, feature_major in ((bound, "eval", True),
+                                          (bound + 1, "eval", False),
+                                          (8, "train", False)):
+            buffers = nn.ModelBuffers(spec, rows, mode)
+            assert [a.flags.f_contiguous for a in buffers.pre_acts] == [
+                feature_major, feature_major, False]
+            assert all(a.flags.c_contiguous for a in
+                       (buffers.pre_acts[-1], buffers.logp, *buffers.d_pre,
+                        *(m for m in buffers.masks if m is not None)))
 
 
 class TestNumericalGradient:

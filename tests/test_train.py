@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -627,6 +628,20 @@ class TestStepWorkspace:
         workspace = StepWorkspace(TrainConfig(mode=mode, n_hidden=2), 128)
         assert sum(a.nbytes for a in workspace_arrays(workspace)) == size
 
+    @pytest.mark.parametrize("mode", ["nsn", "reference"])
+    def test_a_batch_that_does_not_fit_is_a_shape_error(self, mode):
+        config = toy_config(mode=mode)
+        family = init_family(config)
+        momentum = [MomentumState.zeros_like(g) for g in family.groups]
+        workspace = StepWorkspace(config, config.batch_size)
+        step_fn = train_step if mode == "nsn" else reference_step
+        x, labels = toy_batch(replace(config, batch_size=9))
+        before = step_state(family, momentum)
+        for batch in ((x, labels), (x[:8, :3], labels[:8])):
+            with pytest.raises(ShapeError, match="does not fit"):
+                step_fn(family, momentum, batch, config, 0, 0, workspace)
+        assert step_state(family, momentum) == before
+
     def test_evaluate_never_scales_the_whole_set(self):
         rng = np.random.default_rng(3)
         count = 1024
@@ -659,13 +674,10 @@ class InlineExecutor:
 
 
 def square_gemms(config, task):
-    """The batch x width x width GEMMs ``task`` runs: a forward's hidden
-    layers, and a backward piece of a hidden layer (every layer but the
-    head)."""
+    """The batch x width x width GEMMs ``task`` runs: one for the forward
+    or a backward piece of a hidden layer (every layer but the head)."""
     m = config.trained_views()[task.model]
-    if task.kind == "forward":
-        return m
-    return int(task.kind in ("error", "weight") and task.layer < m)
+    return int(task.kind in ("forward", "error", "weight") and task.layer < m)
 
 
 def step_state(family, momentum):
@@ -823,22 +835,25 @@ class TestLanes:
         family, momentum = fresh_family(config)
         caller = threading.get_ident()
         helper_started = threading.Event()
-        base_done = []
+        caller_done = []
+        forward = train_module.layer_forward
 
-        def failing_forward(spec, *args, **kwargs):
+        def failing_forward(params, buffers, x, i, *args, **kwargs):
             if threading.get_ident() != caller:
                 helper_started.set()
                 raise ShapeError("helper lane failed")
             assert helper_started.wait(10)
-            result = model_forward(spec, *args, **kwargs)
-            base_done.append(spec.n_layers - 1)
+            result = forward(params, buffers, x, i, *args, **kwargs)
+            caller_done.append((len(params) - 1, i))
             return result
 
-        monkeypatch.setattr(train_module, "model_forward", failing_forward)
+        monkeypatch.setattr(train_module, "layer_forward", failing_forward)
         before = step_state(family, momentum)
         with pytest.raises(ShapeError, match="helper lane failed"):
             train_step(family, momentum, toy_batch(config), config, 0, 0)
-        assert base_done == [2]
+        # the layer the caller was running when the helper failed finished,
+        # and the caller claimed no task after it
+        assert len(caller_done) == 1
         assert step_state(family, momentum) == before
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -871,14 +886,31 @@ class TestStepTasks:
                         or earlier.reads & task.writes):
                     assert u in ancestors[k]
         (check,) = [k for k, task in enumerate(tasks) if task.kind == "check"]
+        at = {(task.kind, task.model, task.layer): k
+              for k, task in enumerate(tasks)
+              if task.kind in ("mask", "forward", "error", "weight")}
+        for (kind, i, j), k in at.items():
+            # a model's masks are one chain through its generator, in layer
+            # order; a layer's forward follows its mask and the layer below,
+            # and each backward piece of a layer follows its forward
+            before = {"mask": [("mask", i, j2) for j2 in range(j)],
+                      "forward": [("mask", i, j), ("forward", i, j - 1)],
+                      "error": [("forward", i, j), ("mask", i, j)],
+                      "weight": [("forward", i, j)]}[kind]
+            assert {at[key] for key in before if key in at} <= ancestors[k]
+        for i, m in enumerate(views):
+            assert at[("forward", i, m)] in ancestors[check]  # its loss
+            drawn = sorted(j for kind, i2, j in at if (kind, i2) == ("mask", i))
+            spec = config.model_spec(m)
+            keeps = [spec.input_keep] + [spec.hidden_keep] * m
+            assert drawn == [j for j, keep in enumerate(keeps) if keep < 1]
         finishes = [k for k, task in enumerate(tasks)
                     if task.kind == "finish"]
         for k in finishes:
             g = tasks[k].group
-            # every pass that multiplies by group g's weight
+            # every piece that multiplies by group g's weight
             readers = [u for u, task in enumerate(tasks)
-                       if task.kind == "forward" and views[task.model] >= g
-                       or task.kind == "error"
+                       if task.kind in ("forward", "error")
                        and views[task.model] - task.layer == g]
             assert readers and set(readers) <= ancestors[k]
             assert check in ancestors[k]
@@ -905,6 +937,66 @@ class TestStepTasks:
         config = TrainConfig(n_hidden=n_hidden)
         assert sum(square_gemms(config, task)
                    for task in step_tasks(config)) == gemms
+
+    @pytest.mark.parametrize("mode,n_hidden", [("nsn", 1), ("nsn", 3),
+                                               ("reference", 2)])
+    def test_masks_are_one_forward_passes_draws(self, mode, n_hidden):
+        config = toy_config(mode=mode, n_hidden=n_hidden)
+        family = init_family(config)
+        momentum = [MomentumState.zeros_like(g) for g in family.groups]
+        workspace = StepWorkspace(config, config.batch_size)
+        step_fn = train_step if mode == "nsn" else reference_step
+        x, labels = toy_batch(config, 3)
+        x = x[:5]  # a short batch draws masks of its own rows only
+        views = config.trained_views()
+        for step in range(2):
+            params = [[layer.copy() for layer in family.view(m)]
+                      for m in views]
+            step_fn(family, momentum, (x, labels[:5]), config, 1, step,
+                    workspace)
+            for i, m in enumerate(views):
+                # dropout is keyed by (seed, epoch, step, model)
+                rng = np.random.default_rng([config.dropout_seed, 1, step, i])
+                spec = config.model_spec(m)
+                logp, want = model_forward(spec, params[i], x, "train",
+                                           rng if spec.uses_dropout else None)
+                got = workspace.models[i]
+                for a, b in zip(got.masks, want.masks, strict=True):
+                    assert (a is None) == (b is None)
+                    if a is not None:
+                        assert a[:5].tobytes() == b.tobytes()
+                assert got.logp[:5].tobytes() == logp.tobytes()
+
+    @pytest.mark.parametrize("mode", ["nsn", "reference"])
+    def test_finish_bytes_do_not_depend_on_the_block_size(self, monkeypatch,
+                                                          mode):
+        # 20-wide groups finish in halves of 10 rows, the 5-row head in 3
+        # and 2: blocks of 1, 3 and 7 rows, and of 98, more than a half
+        config = toy_config(mode=mode, n_hidden=2, input_dim=20)
+        batches = [toy_batch(config, seed) for seed in range(3)]
+        updates = []
+        apply_update = train_module.apply_update
+
+        def counted(*args, **kwargs):
+            updates.append(args[0].shape)
+            return apply_update(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "apply_update", counted)
+        results = []
+        for rows in (1, 3, 7, 98):
+            monkeypatch.setattr(train_module, "FINISH_ROWS", rows)
+            updates.clear()
+            results.append(run_steps(mode, config, batches))
+            # per finish task: one update per block of weight rows, then
+            # one of all its bias rows
+            tasks = [task for task in step_tasks(config)
+                     if task.kind == "finish"]
+            sizes = [task.rows.stop - task.rows.start for task in tasks]
+            assert len(updates) == len(batches) * sum(
+                -(-size // rows) + 1 for size in sizes)
+            assert sorted(shape for shape in updates if len(shape) == 1) \
+                == sorted((size,) for size in sizes * len(batches))
+        assert all(result == results[0] for result in results)
 
     def test_gradients_nothing_reads_are_never_formed(self):
         config = toy_config(n_hidden=4)
