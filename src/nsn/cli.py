@@ -158,6 +158,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     if missing:
         raise ConfigError(f"{', '.join(missing)} must be given on the "
                           f"command line or in the --config file")
+    # the three streams take seed, seed + 1 and seed + 2, each a
+    # checkpoint's u64
+    if not 0 <= args.seed <= 2**64 - 3:
+        raise ConfigError(f"--seed must be in [0, 2**64 - 3], "
+                          f"got {args.seed}")
     l2 = args.l2
     if l2 is None:
         if args.n_hidden not in l2_defaults:

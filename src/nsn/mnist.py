@@ -69,19 +69,6 @@ class Dataset:
         return images
 
 
-@dataclass(frozen=True)
-class BatchPlan:
-    batch_size: int = 128
-    shuffle: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-
-
 def parse_idx_images(data: bytes) -> np.ndarray:
     """Parse an IDX image file into a uint8 tensor [count, 28, 28].
 
@@ -161,24 +148,21 @@ def load_data_dir(data_dir: Path) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def epoch_order(count: int, plan: BatchPlan, epoch: int) -> np.ndarray:
-    """Sample order for one epoch; a pure function of (seed, epoch)."""
-    if not plan.shuffle:
-        return np.arange(count)
-    return np.random.default_rng([plan.seed, epoch]).permutation(count)
-
-
-def batches(dataset: Dataset, plan: BatchPlan,
-            epoch: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def batches(dataset: Dataset, batch_size: int, epoch: int,
+            seed: int | None = None
+            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (images[b, 784], labels[b]) covering every sample exactly once.
 
-    The final batch may be smaller than ``plan.batch_size``.
+    The order is a pure function of (``seed``, ``epoch``), or the file's
+    order when ``seed`` is None. The final batch may be smaller than
+    ``batch_size``, which must be in [1, count].
     """
     count = dataset.count
-    if plan.batch_size > count:
-        raise ConfigError(f"batch_size {plan.batch_size} exceeds "
-                          f"dataset count {count}")
-    order = epoch_order(count, plan, epoch)
-    for start in range(0, count, plan.batch_size):
-        idx = order[start:start + plan.batch_size]
+    if not 1 <= batch_size <= count:
+        raise ConfigError(f"batch_size must be in [1, {count}] for a set of "
+                          f"{count} samples, got {batch_size}")
+    order = (np.arange(count) if seed is None
+             else np.random.default_rng([seed, epoch]).permutation(count))
+    for start in range(0, count, batch_size):
+        idx = order[start:start + batch_size]
         yield dataset.rows(idx), dataset.labels[idx]

@@ -103,9 +103,10 @@ class ModelSpec:
         return len(self.dims) - 1
 
     @property
-    def uses_dropout(self) -> bool:
-        return self.input_keep < 1.0 or (self.hidden_keep < 1.0
-                                         and self.n_layers > 1)
+    def keeps(self) -> tuple[float, ...]:
+        """The keep probability of each dense layer's input: the input's,
+        then each hidden layer's ReLU output's."""
+        return (self.input_keep,) + (self.hidden_keep,) * (self.n_layers - 1)
 
 
 def spec_for_params(params: Sequence[DenseLayer], input_keep: float = 1.0,
@@ -132,12 +133,12 @@ class ModelBuffers:
     Eval mode holds the pre-activations and log-probabilities; a hidden
     layer's pre-activation holds its ReLU output instead, with its dropout
     mask applied in place in train mode. Train mode adds the dropout masks
-    (float32) wherever the spec's keep probability is below 1, the masked
-    copy of the input ``x_masked`` when the input is masked, one flat
-    float64 array ``draw`` for the masks' uniform draws (None when no layer
-    is masked), and the backward pass's error per layer and the gradient
-    set. ``x`` is the input of the last train-mode pass, None until one has
-    run and after an eval-mode pass.
+    (float32) wherever ``spec.keeps`` is below 1, the masked copy of the
+    input ``x_masked`` when the input is masked, one flat float64 array
+    ``draw`` for the masks' uniform draws (None when no layer is masked),
+    and the backward pass's error per layer and the gradient set. ``x`` is
+    the input of the last train-mode pass, None until one has run and after
+    an eval-mode pass.
 
     Eval buffers of at most ``FEATURE_MAJOR_ROWS`` rows hold the hidden
     pre-activations feature-major (Fortran order), so :func:`dense_forward`
@@ -162,15 +163,14 @@ class ModelBuffers:
                           for d in dims[1:-1]]
                          + [np.empty((rows, dims[-1]), dtype)])
         self.logp = np.empty((rows, dims[-1]), dtype)
-        in_keep = spec.input_keep if train else 1.0
-        hidden_keep = spec.hidden_keep if train else 1.0
         # mask per dense layer's input; None where unmasked
-        keeps = [in_keep] + [hidden_keep] * (spec.n_layers - 1)
-        self.masks = [np.empty((rows, d), np.float32) if keep < 1.0 else None
-                      for d, keep in zip(dims, keeps)]
-        self.x_masked = (np.empty((rows, dims[0]), dtype) if in_keep < 1.0
-                         else None)
-        self.draw = (np.empty(rows * max(dims[:-1])) if min(keeps) < 1.0
+        self.masks = [np.empty((rows, d), np.float32)
+                      if train and keep < 1.0 else None
+                      for d, keep in zip(dims, spec.keeps)]
+        self.x_masked = (np.empty((rows, dims[0]), dtype)
+                         if self.masks[0] is not None else None)
+        self.draw = (np.empty(rows * max(dims[:-1]))
+                     if any(mask is not None for mask in self.masks)
                      else None)
         self.d_pre = ([np.empty((rows, d), dtype) for d in dims[1:]]
                       if train else [])
@@ -282,8 +282,7 @@ def forward_mask(buffers: ModelBuffers, i: int, rows: int,
     order."""
     spec = buffers.spec
     shape = (rows, spec.dims[i])
-    return dropout_mask(shape, spec.input_keep if i == 0 else spec.hidden_keep,
-                        rng, out=buffers.masks[i][:rows],
+    return dropout_mask(shape, spec.keeps[i], rng, out=buffers.masks[i][:rows],
                         draw=buffers.draw_for(shape))
 
 
@@ -341,7 +340,7 @@ def model_forward(spec: ModelSpec, params: Sequence[DenseLayer],
         raise ShapeError(f"input {x.shape} does not match spec dims "
                          f"{spec.dims}")
     train = mode == "train"
-    if train and spec.uses_dropout and rng is None:
+    if train and min(spec.keeps) < 1.0 and rng is None:
         raise ConfigError("train-mode forward with dropout requires an rng")
     rows = x.shape[0]
     if out is None:
@@ -480,7 +479,7 @@ def numerical_gradient(spec: ModelSpec, params: Sequence[DenseLayer],
     Random dropout must be off (all keeps at 1); fixed masks may be passed
     instead to differentiate the masked network.
     """
-    if spec.uses_dropout and input_mask is None and hidden_masks is None:
+    if min(spec.keeps) < 1.0 and input_mask is None and hidden_masks is None:
         raise ConfigError("numerical_gradient requires dropout disabled "
                           "(keep probabilities of 1) or fixed masks")
     x64 = np.asarray(x, dtype=np.float64)

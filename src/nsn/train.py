@@ -9,11 +9,12 @@ gradients, pairwise gradient averaging into canonical groups, the
 EMA-style momentum update, and the parameter update. Reference runs train
 a single model with plain gradients, L2 on all weights, and standard
 momentum; that model is stored as a family whose base view is the only one
-trained, so both kinds of run share one init, resume, loop and checkpoint
-path, and one step body. The two steps differ only in the copy, the
-pairing and the momentum format. A step forms only the weight gradients
-its update reads: a family's model m never forms those of its layers
-2..m.
+trained. Both kinds of run share one step, :func:`train_step`, and one
+loop, :func:`train` (init or resume, evaluation, metrics, checkpoints);
+``config.mode`` alone chooses the three things in which they differ: the
+copy, the pairing and the momentum format. A step forms only the weight
+gradients its update reads: a family's model m never forms those of its
+layers 2..m.
 
 A step is a fixed list of tasks (:func:`step_tasks`, built once per run
 with the :class:`StepWorkspace`): each dropout mask of each model, each
@@ -67,7 +68,7 @@ from .errors import (ConfigError, ConsistencyError, DivergenceError,
                      FormatError, ShapeError)
 from .family import (ModelFamily, build_family, copy_up, init_layer,
                      paired_average_gradients)
-from .mnist import BatchPlan, Dataset, batches, load_data_dir
+from .mnist import Dataset, batches, load_data_dir
 # A step calls neither model_forward nor model_backward: it runs their
 # pieces as tasks. perfbench wraps both by name in nsn.train, so the names
 # stay.
@@ -268,11 +269,9 @@ def step_tasks(config: TrainConfig) -> list[Task]:
     else:
         sources = [[(0, n - g)] for g in range(n + 1)]
     formed = {grad for grads in sources for grad in grads}
-    masked = []  # per model, the layers whose input it masks
-    for m in views:
-        spec = config.model_spec(m)
-        keeps = [spec.input_keep] + [spec.hidden_keep] * (spec.n_layers - 1)
-        masked.append([j for j, keep in enumerate(keeps) if keep < 1.0])
+    # per model, the layers whose input it masks
+    masked = [[j for j, keep in enumerate(config.model_spec(m).keeps)
+               if keep < 1.0] for m in views]
 
     def param(g):
         return {("param", g, k) for k in range(len(parts[g]))}
@@ -364,7 +363,6 @@ class StepWorkspace:
     def __init__(self, config: TrainConfig, rows: int):
         self.models = [ModelBuffers(config.model_spec(m), rows)
                        for m in config.trained_views()]
-        self.grad_sets = [buffers.grads for buffers in self.models]
         self.scratch = [np.empty((FINISH_ROWS, config.input_dim), np.float32)
                         for _ in range(LANES)]
         self.tasks = step_tasks(config)
@@ -392,8 +390,8 @@ def _forget_helper() -> None:
 os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _run_tasks(tasks: Sequence[Task], run: Callable[[int, int], None],
-               drain: bool = False) -> None:
+def _run_tasks(tasks: Sequence[Task],
+               run: Callable[[int, int], None]) -> None:
     """Run ``run(k, lane)`` for every task k of ``tasks`` on two lanes:
     this thread (lane 0) and the helper thread (lane 1), the helper only
     when there is more than one task.
@@ -404,11 +402,10 @@ def _run_tasks(tasks: Sequence[Task], run: Callable[[int, int], None],
     helper that has not started leaves every task to this thread, which
     then runs them in list order (the list is topologically ordered), and
     a helper that starts after the last task is done runs none. A task
-    that raises stops new claims by both lanes, or with ``drain`` only by
-    its own: the other lane runs on, but never a task that depends on the
-    failed one. Returns, or raises the first error a task raised, only
-    once both lanes are done, so nothing of the run outlives it. BLAS is
-    set to one thread before either lane starts.
+    that raises stops new claims by both lanes. Returns, or raises the
+    first error a task raised, only once both lanes are done, so nothing
+    of the run outlives it. BLAS is set to one thread before either lane
+    starts.
     """
     one_blas_thread()
     unmet = [len(task.deps) for task in tasks]
@@ -422,16 +419,13 @@ def _run_tasks(tasks: Sequence[Task], run: Callable[[int, int], None],
     running = 0
     started = closed = False
 
-    def stopped() -> bool:
-        return bool(errors) and not drain
-
     def lane(i: int) -> None:
         nonlocal running
         while True:
             with cond:
-                while not ready and running and not stopped():
+                while not ready and running and not errors:
                     cond.wait()
-                if not ready or stopped():
+                if not ready or errors:
                     return
                 k = heappop(ready)
                 running += 1
@@ -472,32 +466,36 @@ def _run_tasks(tasks: Sequence[Task], run: Callable[[int, int], None],
         raise errors[0]
 
 
-def _step(family: ModelFamily, momentum: Sequence[MomentumState],
-          batch: tuple[np.ndarray, np.ndarray], config: TrainConfig,
-          epoch: int, step: int, workspace: StepWorkspace | None,
-          ema: bool) -> list[float]:
-    """Run the tasks of one step of the views ``config`` trains on the two
-    lanes, into ``workspace`` (built when None); returns each view's loss.
+def train_step(family: ModelFamily, momentum: Sequence[MomentumState],
+               batch: tuple[np.ndarray, np.ndarray], config: TrainConfig,
+               epoch: int, step: int = 0,
+               workspace: StepWorkspace | None = None) -> list[float]:
+    """One minibatch update of the views ``config`` trains; returns each
+    view's pre-update loss.
 
-    A "mask" task draws one dropout mask of a model from the model's
-    generator, keyed by its position among the views and made by the
-    model's first mask task; "forward", "error" and "weight" tasks run the
-    forward's and backward's per-layer pieces, and a model's last
-    "forward" its loss and output error; the "check" raises
+    ``momentum`` is one state per group, head first. ``config.mode``
+    chooses what a family's step does and a baseline's does not: a family
+    ("nsn") step first runs the lesser-to-bigger copy, and its finishes
+    pair the gradients and update EMA momentum; a baseline's finishes take
+    the base view's own gradients and update standard momentum.
+
+    The step runs its tasks on the two lanes, into ``workspace`` (built
+    when None, for the batch's rows). A "mask" task draws one dropout mask
+    of a model from the model's generator, keyed by its position among the
+    views and made by the model's first mask task; "forward", "error" and
+    "weight" tasks run the forward's and backward's per-layer pieces, and
+    a model's last "forward" its loss and output error; the "check" raises
     :class:`DivergenceError` for the first non-finite loss in view order,
     so no finish runs and nothing is updated. A "finish" walks its weight
     rows of a group ``FINISH_ROWS`` at a time: it adds L2 to the gradient
-    read from the base view, pairs the gradients (a family's, when
-    ``ema``) or takes the one it reads, updates momentum (EMA when ``ema``,
-    else standard) and then the parameters, each in place; then it does
-    the same, without L2, for its bias rows in one pass. The pairing's and
+    read from the base view, forms the group's gradient, updates momentum
+    and then the parameters, each in place; then it does the same,
+    without L2, for its bias rows in one pass. The pairing's and
     momentum's temporaries go into the gradient they consume, the L2 term
     into the lane's scratch. A batch of more rows than ``workspace`` holds,
     or not ``config.input_dim`` wide, is a :class:`ShapeError`.
     """
-    if ema != (config.mode == "nsn"):
-        raise ConfigError(f"a {config.mode} config needs the "
-                          f"{'reference' if ema else 'family'} step")
+    nsn = config.mode == "nsn"
     x, labels = batch
     if workspace is None:
         workspace = StepWorkspace(config, x.shape[0])
@@ -505,9 +503,12 @@ def _step(family: ModelFamily, momentum: Sequence[MomentumState],
     if x.ndim != 2 or x.shape[0] > held or x.shape[1] != config.input_dim:
         raise ShapeError(f"a batch of shape {x.shape} does not fit a "
                          f"workspace of {held} x {config.input_dim}")
+    if nsn:
+        copy_up(family)
     views = config.trained_views()
     base = len(views) - 1
-    tasks, grad_sets = workspace.tasks, workspace.grad_sets
+    tasks = workspace.tasks
+    grad_sets = [buffers.grads for buffers in workspace.models]
     losses: list[float] = [0.0] * len(views)
     rngs: list[np.random.Generator | None] = [None] * len(views)
     lam, alpha = config.l2_lambda, config.schedule.alpha
@@ -515,7 +516,7 @@ def _step(family: ModelFamily, momentum: Sequence[MomentumState],
     no_rows = slice(0, 0)
 
     def gradient(task: Task, rows: slice, bias_rows: slice) -> LayerGrads:
-        if ema:
+        if nsn:
             (grads,) = paired_average_gradients(grad_sets, (task.group,),
                                                 rows, bias_rows)
             return grads
@@ -524,7 +525,7 @@ def _step(family: ModelFamily, momentum: Sequence[MomentumState],
                           grad_sets[i][j].d_bias[bias_rows])
 
     def descend(p: np.ndarray, v: np.ndarray, grad: np.ndarray) -> None:
-        if ema:
+        if nsn:
             momentum_nsn(v, grad, alpha, out=v, scratch=grad)
         else:
             momentum_standard(v, grad, alpha, out=v)
@@ -578,30 +579,8 @@ def _step(family: ModelFamily, momentum: Sequence[MomentumState],
     return losses
 
 
-def train_step(family: ModelFamily, momentum: Sequence[MomentumState],
-               batch: tuple[np.ndarray, np.ndarray], config: TrainConfig,
-               epoch: int, step: int = 0,
-               workspace: StepWorkspace | None = None) -> list[float]:
-    """One family minibatch update; returns each model's pre-update loss.
-
-    ``momentum`` is one state per group, head first. ``workspace`` holds
-    buffers for models 0..n; a fresh one is built when none is given.
-    """
-    copy_up(family)
-    return _step(family, momentum, batch, config, epoch, step, workspace,
-                 ema=True)
-
-
-def reference_step(family: ModelFamily, momentum: Sequence[MomentumState],
-                   batch: tuple[np.ndarray, np.ndarray], config: TrainConfig,
-                   epoch: int, step: int = 0,
-                   workspace: StepWorkspace | None = None) -> list[float]:
-    """One regularly-trained minibatch update of a baseline's base view:
-    its own gradients, L2 on every weight layer, standard momentum.
-    Arguments are as for :func:`train_step`; ``workspace`` holds buffers
-    for the base model only."""
-    return _step(family, momentum, batch, config, epoch, step, workspace,
-                 ema=False)
+# perfbench times and patches a baseline's step under this name.
+reference_step = train_step
 
 
 def evaluate(params: Sequence[DenseLayer], dataset: Dataset,
@@ -611,14 +590,16 @@ def evaluate(params: Sequence[DenseLayer], dataset: Dataset,
     The rows are split into chunks of ``eval_batch``, tasks with no
     dependencies that the two lanes share (see :func:`_run_tasks`); each
     lane counts the correct rows of the chunks it runs, and the counts are
-    summed. The chunks share nothing, so a lane whose chunk fails leaves
-    the rest to the other lane, and the error is raised once both stop.
-    Which lane runs a chunk never changes its arithmetic, so the result
-    does not depend on timing; a set of one chunk runs on the caller
-    alone. Each lane scales its byte rows into its own array and runs the
-    forward pass into its own buffers, all made here before the lanes
-    start, so no float copy of the whole set is ever made.
+    summed. A chunk that fails stops both lanes, as in a step, and its
+    error is raised once both stop. Which lane runs a chunk never changes
+    its arithmetic, so the result does not depend on timing; a set of one
+    chunk runs on the caller alone. Each lane scales its byte rows into
+    its own array and runs the forward pass into its own buffers, all made
+    here before the lanes start, so no float copy of the whole set is ever
+    made. A set of no rows is a :class:`ConfigError`.
     """
+    if dataset.count == 0:
+        raise ConfigError("cannot evaluate an empty set: it has no rows")
     spec = spec_for_params(params)
     rows = min(eval_batch, dataset.count)
     dtype = np.result_type(np.float32, dataset.pixels,
@@ -639,7 +620,7 @@ def evaluate(params: Sequence[DenseLayer], dataset: Dataset,
         correct[lane] += int(np.sum(np.argmax(logp, axis=1)
                                     == dataset.labels[chunk]))
 
-    _run_tasks(chunks, run, drain=True)
+    _run_tasks(chunks, run)
     return sum(correct) / dataset.count
 
 
@@ -740,24 +721,10 @@ def _changed_fields(config: TrainConfig, echo: str) -> list[str]:
 def train(config: TrainConfig, train_ds: Dataset | None = None,
           test_ds: Dataset | None = None, resume_from: Path | None = None,
           log: Callable[[str], None] | None = None) -> TrainResult:
-    """Train the full family; track the epoch with the best base-model test
-    accuracy and snapshot every model's accuracy there."""
-    return _train(config, "nsn", train_ds, test_ds, resume_from, log)
-
-
-def train_reference(config: TrainConfig, train_ds: Dataset | None = None,
-                    test_ds: Dataset | None = None,
-                    resume_from: Path | None = None,
-                    log: Callable[[str], None] | None = None) -> TrainResult:
-    """Train a single regularly-updated model (the baseline protocol)."""
-    return _train(config, "reference", train_ds, test_ds, resume_from, log)
-
-
-def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
-           test_ds: Dataset | None, resume_from: Path | None,
-           log: Callable[[str], None] | None) -> TrainResult:
-    """The loop both trainers share; ``mode`` picks the step, and
-    ``config.trained_views()`` the models that are trained and evaluated.
+    """Train the models of ``config.trained_views()``: every model of a
+    family, or a baseline's one regularly-updated model, each step by
+    :func:`train_step`. Track the epoch with the best base-model test
+    accuracy and snapshot every model's accuracy there.
 
     When resuming, the checkpoint's seeds replace the config's, every other
     field but the epochs and paths must match the checkpoint's config echo,
@@ -771,9 +738,6 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
     epoch's last step is a :class:`DivergenceError`, before that epoch is
     evaluated or saved.
     """
-    if config.mode != mode:
-        raise ConfigError(f"expected a config with mode={mode!r}, "
-                          f"got {config.mode!r}")
     if config.out_dir is None:
         raise ConfigError("no out_dir configured")
     views = config.trained_views()
@@ -803,7 +767,7 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
             if len(ckpt.best_accuracies) != n_models:
                 raise ConsistencyError(
                     f"checkpoint tracks {len(ckpt.best_accuracies)} models, "
-                    f"a {mode} run trains {n_models}")
+                    f"a {config.mode} run trains {n_models}")
             best_epoch, best_accs = ckpt.best_epoch, ckpt.best_accuracies
         changed = _changed_fields(config, ckpt.config_echo)
         if changed:
@@ -831,12 +795,12 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    plan = BatchPlan(batch_size=config.batch_size, shuffle=config.shuffle,
-                     seed=config.shuffle_seed)
+    shuffle_seed = config.shuffle_seed if config.shuffle else None
     writer = _MetricsWriter(out_dir, n_models, start_epoch)
     history: list[MetricsRecord] = []
     workspace = StepWorkspace(config, config.batch_size)
-    step_fn = train_step if mode == "nsn" else reference_step
+    # one step, called by the name perfbench times for this mode
+    step_fn = train_step if config.mode == "nsn" else reference_step
 
     def checkpoint_at(epoch_done: int, name: str) -> Path:
         path = out_dir / name
@@ -853,7 +817,8 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
             lr = lr_at(config.schedule, epoch)
             loss_sums = np.zeros(n_models)
             seen = 0
-            for step, batch in enumerate(batches(train_ds, plan, epoch)):
+            for step, batch in enumerate(batches(
+                    train_ds, config.batch_size, epoch, shuffle_seed)):
                 losses = step_fn(family, momentum, batch, config, epoch,
                                  step, workspace)
                 loss_sums += np.asarray(losses) * batch[0].shape[0]
@@ -888,3 +853,7 @@ def _train(config: TrainConfig, mode: str, train_ds: Dataset | None,
     return TrainResult(history=history, best_epoch=best_epoch,
                        best_accuracies=best_accs, views=models,
                        checkpoint_path=final_path)
+
+
+# perfbench times and patches a baseline's run under this name.
+train_reference = train

@@ -180,9 +180,8 @@ class LiteralFamily:
         grad_sets = []
         for m in range(self.n + 1):
             spec = config.model_spec(m)
-            rng = (_dropout_rng(config, epoch, step, m)
-                   if spec.uses_dropout else None)
-            _, buffers = model_forward(spec, self.models[m], x, "train", rng)
+            _, buffers = model_forward(spec, self.models[m], x, "train",
+                                       _dropout_rng(config, epoch, step, m))
             grad_sets.append(model_backward(spec, self.models[m], buffers,
                                             labels))
         if config.l2_lambda > 0:

@@ -476,20 +476,31 @@ class TestSeedDerivation:
 
     def test_seed_the_checkpoint_cannot_store_is_usage_error(self, tmp_path,
                                                               capsys):
+        self.assert_seed_is_usage_error(tmp_path, capsys, 2**64 - 1)
+
+    def assert_seed_is_usage_error(self, tmp_path, capsys, seed):
         data = write_idx_dir(tmp_path / "data", train_count=64,
                              test_count=32)
         out = tmp_path / "run"
         code = main(["train", "--data-dir", str(data), "--out-dir", str(out),
                      "--n-hidden", "1", "--epochs", "1",
-                     "--seed", str(2**64 - 1)])
+                     "--seed", str(seed)])
         assert code == 2
-        assert "shuffle_seed must be in [0, 2**64)" in capsys.readouterr().err
+        # the error names the flag, not a config field derived from it
+        err = capsys.readouterr().err
+        assert f"--seed must be in [0, 2**64 - 3], got {seed}" in err
+        assert "_seed" not in err
         assert not out.exists()
 
     def test_largest_seed_the_checkpoint_can_store_trains(self, tmp_path):
         _, out = run_tiny_train(tmp_path, "--seed", str(2**64 - 3))
         ckpt = load_checkpoint(out / "checkpoint_final.nsn")
         assert ckpt.dropout_seed == 2**64 - 1
+
+    @pytest.mark.parametrize("seed", [2**64 - 2, -1, -5])
+    def test_a_seed_out_of_range_names_the_flag(self, tmp_path, capsys,
+                                                seed):
+        self.assert_seed_is_usage_error(tmp_path, capsys, seed)
 
     def test_parser_builds(self):
         assert build_parser() is not None

@@ -111,31 +111,28 @@ class TestBatches:
         ds = mnist.Dataset(pixels=np.zeros((60000, 1), np.float32),
                            labels=np.zeros(60000, np.int64))
         sizes = [b.shape[0] for b, _ in
-                 mnist.batches(ds, mnist.BatchPlan(batch_size=128), epoch=0)]
+                 mnist.batches(ds, 128, epoch=0, seed=0)]
         assert len(sizes) == 469
         assert sizes[-1] == 96
         assert all(s == 128 for s in sizes[:-1])
 
     def test_no_shuffle_is_identity_order(self):
         ds = dataset_of(10)
-        plan = mnist.BatchPlan(batch_size=4, shuffle=False)
         labels = np.concatenate([lab for _, lab in
-                                 mnist.batches(ds, plan, epoch=3)])
+                                 mnist.batches(ds, 4, epoch=3)])
         np.testing.assert_array_equal(labels, ds.labels)
 
     def test_same_seed_epoch_is_identical(self):
         ds = dataset_of(50)
-        plan = mnist.BatchPlan(batch_size=7, shuffle=True, seed=9)
-        a = [x.copy() for x, _ in mnist.batches(ds, plan, epoch=2)]
-        b = [x.copy() for x, _ in mnist.batches(ds, plan, epoch=2)]
+        a = [x.copy() for x, _ in mnist.batches(ds, 7, epoch=2, seed=9)]
+        b = [x.copy() for x, _ in mnist.batches(ds, 7, epoch=2, seed=9)]
         for xa, xb in zip(a, b):
             np.testing.assert_array_equal(xa, xb)
 
     def test_different_epochs_differ(self):
         ds = dataset_of(50)
-        plan = mnist.BatchPlan(batch_size=50, shuffle=True, seed=9)
-        (x0, _), = mnist.batches(ds, plan, epoch=0)
-        (x1, _), = mnist.batches(ds, plan, epoch=1)
+        (x0, _), = mnist.batches(ds, 50, epoch=0, seed=9)
+        (x1, _), = mnist.batches(ds, 50, epoch=1, seed=9)
         assert not np.array_equal(x0, x1)
 
     @settings(deadline=None, max_examples=25)
@@ -146,20 +143,19 @@ class TestBatches:
         if batch > count:
             return
         ds = dataset_of(count, seed=seed)
-        plan = mnist.BatchPlan(batch_size=batch, shuffle=True, seed=seed)
         seen = np.concatenate([x[:, 0] for x, _ in
-                               mnist.batches(ds, plan, epoch)])
+                               mnist.batches(ds, batch, epoch, seed)])
         np.testing.assert_array_equal(np.sort(seen),
                                       np.sort(ds.images[:, 0]))
 
     def test_zero_batch_size_is_config_error(self):
         with pytest.raises(ConfigError):
-            mnist.BatchPlan(batch_size=0)
+            list(mnist.batches(dataset_of(3), 0, 0))
 
     def test_batch_larger_than_dataset_is_config_error(self):
         ds = dataset_of(3)
         with pytest.raises(ConfigError):
-            list(mnist.batches(ds, mnist.BatchPlan(batch_size=4), 0))
+            list(mnist.batches(ds, 4, 0))
 
 
 class TestByteBackedDataset:
@@ -180,9 +176,8 @@ class TestByteBackedDataset:
         scaled = mnist.Dataset(
             pixels=train.pixels.astype(np.float32) / np.float32(255.0),
             labels=train.labels)
-        plan = mnist.BatchPlan(batch_size=20, seed=4)
-        got = list(mnist.batches(train, plan, epoch=3))
-        want = list(mnist.batches(scaled, plan, epoch=3))
+        got = list(mnist.batches(train, 20, epoch=3, seed=4))
+        want = list(mnist.batches(scaled, 20, epoch=3, seed=4))
         assert len(got) == len(want) == 5
         for (x, labels), (x_want, labels_want) in zip(got, want):
             assert x.dtype == np.float32

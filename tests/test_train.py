@@ -161,8 +161,7 @@ def literal_reference_step(layers, momentum, batch, config, epoch, step):
     allocating passes: returns the new layers and momenta."""
     x, labels = batch
     spec = config.model_spec(config.n_hidden)
-    rng = (np.random.default_rng([config.dropout_seed, epoch, step, 0])
-           if spec.uses_dropout else None)
+    rng = np.random.default_rng([config.dropout_seed, epoch, step, 0])
     _, cache = model_forward(spec, layers, x, "train", rng)
     grads = model_backward(spec, layers, cache, labels)
     lam, lr = config.l2_lambda, lr_at(config.schedule, epoch)
@@ -277,6 +276,18 @@ class TestEvaluate:
         ds = toy_dataset(200, 6, 4, seed=26)
         assert (evaluate(detach(family, 1), ds)
                 == evaluate(family.view(1), ds))
+
+    def test_an_empty_set_is_a_config_error_before_any_lane_starts(
+            self, monkeypatch):
+        def no_lanes(*args, **kwargs):
+            raise AssertionError("a lane started")
+
+        monkeypatch.setattr(train_module, "_run_tasks", no_lanes)
+        view = build_family(1, input_dim=4, classes=3, init_seed=1).view(1)
+        empty = Dataset(pixels=np.zeros((0, 4), np.float32),
+                        labels=np.zeros(0, np.int64))
+        with pytest.raises(ConfigError, match="empty set"):
+            evaluate(view, empty)
 
 
 def assert_resume_matches_uninterrupted_run(tmp_path, mode, n_hidden,
@@ -493,20 +504,39 @@ class TestConfigValidation:
     def test_reference_allows_zero_hidden(self):
         assert toy_config(mode="reference", n_hidden=0).n_hidden == 0
 
-    def test_mode_mismatch_raises(self):
-        ds = toy_dataset(10, 4, 5)
-        with pytest.raises(ConfigError):
-            train(toy_config(mode="reference", n_hidden=1), ds, ds)
-        with pytest.raises(ConfigError):
-            train_reference(toy_config(mode="nsn"), ds, ds)
-        for mode, step_fn in (("reference", train_step),
-                              ("nsn", reference_step)):
-            config = toy_config(mode=mode, n_hidden=1)
-            family, momentum = fresh_family(config)
-            before = step_state(family, momentum)
-            with pytest.raises(ConfigError):
-                step_fn(family, momentum, toy_batch(config), config, 0)
-            assert step_state(family, momentum) == before
+
+class TestRunKind:
+    FAMILY_ONLY = ("copy_up", "paired_average_gradients", "momentum_nsn")
+
+    def test_one_step_and_one_trainer_under_both_names(self):
+        assert reference_step is train_step
+        assert train_reference is train
+
+    @pytest.mark.parametrize("mode,n_hidden", [("nsn", 1), ("nsn", 2),
+                                               ("reference", 0),
+                                               ("reference", 2)])
+    def test_only_a_family_step_calls_the_family_helpers(self, monkeypatch,
+                                                         mode, n_hidden):
+        calls = {name: 0 for name in self.FAMILY_ONLY}
+
+        def counting(name):
+            piece = getattr(train_module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return piece(*args, **kwargs)
+            return counted
+
+        for name in self.FAMILY_ONLY:
+            monkeypatch.setattr(train_module, name, counting(name))
+        config = toy_config(mode=mode, n_hidden=n_hidden)
+        family = init_family(config)
+        momentum = [MomentumState.zeros_like(g) for g in family.groups]
+        train_step(family, momentum, toy_batch(config), config, 0, 0)
+        if mode == "nsn":
+            assert all(count > 0 for count in calls.values()), calls
+        else:
+            assert calls == {name: 0 for name in self.FAMILY_ONLY}
 
 
 def bad_set(case, count=32, input_dim=8, classes=3):
@@ -715,7 +745,7 @@ class TestLanes:
         ran = []
         run_tasks = train_module._run_tasks
 
-        def recording_run_tasks(tasks, run, drain=False):
+        def recording_run_tasks(tasks, run):
             def recorded(k, lane):
                 task = tasks[k]
                 square = square_gemms(config, task)
@@ -725,7 +755,7 @@ class TestLanes:
                     assert helper_started.wait(10)
                 run(k, lane)
                 ran.append((threading.get_ident(), task))
-            run_tasks(tasks, recorded, drain)
+            run_tasks(tasks, recorded)
 
         step_fn = train_step if mode == "nsn" else reference_step
         with monkeypatch.context() as patch:
@@ -958,8 +988,7 @@ class TestStepTasks:
                 # dropout is keyed by (seed, epoch, step, model)
                 rng = np.random.default_rng([config.dropout_seed, 1, step, i])
                 spec = config.model_spec(m)
-                logp, want = model_forward(spec, params[i], x, "train",
-                                           rng if spec.uses_dropout else None)
+                logp, want = model_forward(spec, params[i], x, "train", rng)
                 got = workspace.models[i]
                 for a, b in zip(got.masks, want.masks, strict=True):
                     assert (a is None) == (b is None)
@@ -1202,8 +1231,9 @@ class TestEvaluateLanes:
                                      fail_on_helper=True)
         with pytest.raises(ShapeError, match="helper lane failed"):
             evaluate(view, ds, EVAL_ROWS)
-        # the caller ran both chunks the failed helper left before raising
-        assert calls == [(threading.get_ident(), EVAL_ROWS)] * 2
+        # only the caller's chunks finished; the failure stopped new claims
+        assert calls and all(thread == threading.get_ident()
+                             for thread, _ in calls)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_evaluates(self):
