@@ -37,6 +37,14 @@ TRAIN_COMMANDS = {
                   {0: 9e-5, 1: 5e-6, 2: 1e-5}),
 }
 
+# The train flag that fills each range-checked TrainConfig and Schedule
+# field; a value the field's check rejects is reported under the flag.
+FIELD_FLAGS = {"n_hidden": "--n-hidden", "epochs": "--epochs",
+               "batch_size": "--batch", "base_lr": "--lr",
+               "alpha": "--alpha", "decay_every": "--decay-every",
+               "decay_factor": "--decay-factor", "l2_lambda": "--l2",
+               "input_keep": "--input-keep", "hidden_keep": "--hidden-keep"}
+
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
@@ -163,21 +171,29 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not 0 <= args.seed <= 2**64 - 3:
         raise ConfigError(f"--seed must be in [0, 2**64 - 3], "
                           f"got {args.seed}")
-    l2 = args.l2
-    if l2 is None:
-        if args.n_hidden not in l2_defaults:
-            raise ConfigError(f"no default --l2 for n_hidden="
-                              f"{args.n_hidden}; pass --l2 explicitly")
-        l2 = l2_defaults[args.n_hidden]
-    config = TrainConfig(
-        mode=mode, n_hidden=args.n_hidden, epochs=args.epochs,
-        batch_size=args.batch,
-        schedule=Schedule(base_lr=args.lr, decay_every=args.decay_every,
-                          decay_factor=args.decay_factor, alpha=args.alpha),
-        l2_lambda=l2, input_keep=args.input_keep,
-        hidden_keep=args.hidden_keep, shuffle=args.shuffle,
-        data_dir=args.data_dir, out_dir=args.out_dir, init_seed=args.seed,
-        shuffle_seed=args.seed + 1, dropout_seed=args.seed + 2)
+    # 0 stands in for a missing default, so that TrainConfig checks
+    # --n-hidden before the missing --l2 is reported
+    l2 = args.l2 if args.l2 is not None else l2_defaults.get(args.n_hidden, 0)
+    try:
+        config = TrainConfig(
+            mode=mode, n_hidden=args.n_hidden, epochs=args.epochs,
+            batch_size=args.batch,
+            schedule=Schedule(base_lr=args.lr, decay_every=args.decay_every,
+                              decay_factor=args.decay_factor,
+                              alpha=args.alpha),
+            l2_lambda=l2, input_keep=args.input_keep,
+            hidden_keep=args.hidden_keep, shuffle=args.shuffle,
+            data_dir=args.data_dir, out_dir=args.out_dir,
+            init_seed=args.seed, shuffle_seed=args.seed + 1,
+            dropout_seed=args.seed + 2)
+    except ConfigError as exc:
+        if exc.field not in FIELD_FLAGS:
+            raise
+        raise ConfigError(str(exc).replace(exc.field, FIELD_FLAGS[exc.field],
+                                           1)) from None
+    if args.l2 is None and args.n_hidden not in l2_defaults:
+        raise ConfigError(f"no default --l2 for --n-hidden {args.n_hidden}; "
+                          f"pass --l2 explicitly")
     run = train if mode == "nsn" else train_reference
     result = run(config, resume_from=args.resume, log=print)
     accs = " ".join(f"m{i}={v:.4f}"

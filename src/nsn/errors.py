@@ -22,7 +22,22 @@ class LengthError(NsnError, ValueError):
 
 
 class ConfigError(NsnError, ValueError):
-    """A configuration value is outside its legal domain."""
+    """A configuration value is outside its legal domain. ``field`` names
+    the config field that holds it, when one does, and the message then
+    starts with that name."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+def check_ranges(record, rules) -> None:
+    """Raise a :class:`ConfigError` for the first ``(field, ok, range)`` of
+    ``rules`` that is not ok: "<field> must be <range>, got <value>"."""
+    for name, ok, allowed in rules:
+        if not ok:
+            raise ConfigError(f"{name} must be {allowed}, "
+                              f"got {getattr(record, name)}", name)
 
 
 class ConsistencyError(NsnError, RuntimeError):

@@ -11,12 +11,13 @@ Removing the base model's first k layers yields model n-k exactly, because
 the views alias one storage location per group.
 
 Each group is "owned" by the model whose input layer it is. Updates touch
-only owner slots: the pairwise-averaged gradient for group g combines model
-g's input-layer gradient with model g+1's second-layer gradient, and the
-base model's own input layer (group n) is updated from its single gradient,
-unaveraged. This computes exactly the values that survive the per-minibatch
-copy from lesser to bigger models; ``verify.LiteralFamily`` re-derives the
-same trajectory the long way as a cross-check.
+only owner slots, and :func:`group_sources` is the pairing rule: group g < n
+is updated from the average of model g's input-layer gradient and model
+g+1's second-layer gradient (:func:`paired_average_gradients` forms one such
+average), and the base model's own input layer (group n) from its single
+gradient, unaveraged. This computes exactly the values that survive the
+per-minibatch copy from lesser to bigger models; ``verify.LiteralFamily``
+re-derives the same trajectory the long way as a cross-check.
 
 A regularly trained baseline with n hidden layers is stored the same way,
 head first, and trains only through the base view, model n.
@@ -121,50 +122,32 @@ def copy_up(family: ModelFamily) -> None:
                 up.bias[...] = lo.bias
 
 
-def paired_average_gradients(per_model_grads: list,
-                             groups: Sequence[int] | None = None,
-                             rows: slice = slice(None),
-                             bias_rows: slice | None = None
-                             ) -> list[LayerGrads]:
-    """Collapse per-model gradients into one gradient per canonical group.
+def group_sources(n: int) -> list[list[tuple[int, int]]]:
+    """The gradients that update each group of a family with n hidden
+    layers, head first: (model, layer) pairs, the group's own input-layer
+    gradient first. Group g < n pairs model g's layer 0 with model g+1's
+    layer 1; group n, the base model's input layer, has its one gradient."""
+    return [[(g, 0), (g + 1, 1)] for g in range(n)] + [[(n, 0)]]
 
-    ``per_model_grads`` holds models 0..n, so n is its length - 1. Group
-    g < n averages model g's input-layer gradient with model g+1's
-    second-layer gradient; group n (the base model's input layer) passes
-    through unaveraged. Only the ``groups`` given (every group when None)
-    are formed, and of each only ``rows`` of its weight and ``bias_rows``
-    of its bias (``rows`` when None): the rule is element-wise, so forming
-    a group's rows in any split gives the bytes of forming it whole. The
-    averages are formed in place, in each model's input-layer gradient,
-    whose rows are returned for its group, in the order of ``groups``, so
-    the pass allocates no array.
+
+def paired_average_gradients(pair: Sequence[LayerGrads]) -> list[LayerGrads]:
+    """Average one group's two gradients, or the same rows of both, into
+    the first, in place, and return ``[first]``.
+
+    The average is element-wise, so averaging a group's rows in any split
+    gives the bytes of averaging it whole; it allocates no array.
     """
-    n = len(per_model_grads) - 1
-    for m, grads in enumerate(per_model_grads):
-        if len(grads) != m + 1:
-            raise ConsistencyError(f"model {m} must have {m + 1} layer "
-                                   f"gradients, got {len(grads)}")
-    if bias_rows is None:
-        bias_rows = rows
-    out: list[LayerGrads] = []
-    for g in range(n + 1) if groups is None else groups:
-        own = per_model_grads[g][0]
-        mine = LayerGrads(own.d_weight[rows], own.d_bias[bias_rows])
-        out.append(mine)
-        if g == n:
-            continue
-        pair = per_model_grads[g + 1][1]
-        if own.d_weight.shape != pair.d_weight.shape:
-            raise ConsistencyError(
-                f"group {g}: paired gradient shapes differ: "
-                f"{own.d_weight.shape} vs {pair.d_weight.shape}")
-        half = own.d_weight.dtype.type(0.5)
-        for a, b in ((mine.d_weight, pair.d_weight[rows]),
-                     (mine.d_bias, pair.d_bias[bias_rows])):
-            if a.size:
-                a += b
-                a *= half
-    return out
+    own, other = pair
+    shapes = [(g.d_weight.shape, g.d_bias.shape) for g in pair]
+    if shapes[0] != shapes[1]:
+        raise ConsistencyError(f"paired gradient shapes differ: "
+                               f"{shapes[0]} vs {shapes[1]}")
+    half = own.d_weight.dtype.type(0.5)
+    for a, b in ((own.d_weight, other.d_weight), (own.d_bias, other.d_bias)):
+        if a.size:
+            a += b
+            a *= half
+    return [own]
 
 
 def detach(family: ModelFamily, k: int) -> list[DenseLayer]:

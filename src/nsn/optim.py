@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_ranges
 from .nn import DenseLayer
 
 
@@ -27,16 +27,12 @@ class Schedule:
     alpha: float = 0.9
 
     def __post_init__(self):
-        if not 0 < self.base_lr < math.inf:
-            raise ConfigError(f"base_lr must be finite and positive, "
-                              f"got {self.base_lr}")
-        if not 0.0 <= self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.decay_every < 1:
-            raise ConfigError(f"decay_every must be >= 1, got {self.decay_every}")
-        if not 0 < self.decay_factor < math.inf:
-            raise ConfigError(f"decay_factor must be finite and positive, "
-                              f"got {self.decay_factor}")
+        check_ranges(self, (
+            ("base_lr", 0 < self.base_lr < math.inf, "finite and positive"),
+            ("alpha", 0.0 <= self.alpha < 1.0, "in [0, 1)"),
+            ("decay_every", self.decay_every >= 1, ">= 1"),
+            ("decay_factor", 0 < self.decay_factor < math.inf,
+             "finite and positive")))
 
 
 @dataclass

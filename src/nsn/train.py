@@ -12,9 +12,10 @@ momentum; that model is stored as a family whose base view is the only one
 trained. Both kinds of run share one step, :func:`train_step`, and one
 loop, :func:`train` (init or resume, evaluation, metrics, checkpoints);
 ``config.mode`` alone chooses the three things in which they differ: the
-copy, the pairing and the momentum format. A step forms only the weight
-gradients its update reads: a family's model m never forms those of its
-layers 2..m.
+copy, the gradients that update each group (a family's pairs,
+:func:`family.group_sources`, or a baseline's own) and the momentum
+format. A step forms only the weight gradients its update reads: a
+family's model m never forms those of its layers 2..m.
 
 A step is a fixed list of tasks (:func:`step_tasks`, built once per run
 with the :class:`StepWorkspace`): each dropout mask of each model, each
@@ -65,9 +66,9 @@ import numpy as np
 from .blas import one_blas_thread
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import (ConfigError, ConsistencyError, DivergenceError,
-                     FormatError, ShapeError)
-from .family import (ModelFamily, build_family, copy_up, init_layer,
-                     paired_average_gradients)
+                     FormatError, ShapeError, check_ranges)
+from .family import (ModelFamily, build_family, copy_up, group_sources,
+                     init_layer, paired_average_gradients)
 from .mnist import Dataset, batches, load_data_dir
 # A step calls neither model_forward nor model_backward: it runs their
 # pieces as tasks. perfbench wraps both by name in nsn.train, so the names
@@ -118,25 +119,18 @@ class TrainConfig:
         if self.mode not in ("nsn", "reference"):
             raise ConfigError(f"mode must be 'nsn' or 'reference', "
                               f"got {self.mode!r}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 <= self.l2_lambda < math.inf:
-            raise ConfigError(f"l2_lambda must be finite and >= 0, "
-                              f"got {self.l2_lambda}")
         min_hidden = 1 if self.mode == "nsn" else 0
-        if self.n_hidden < min_hidden:
-            raise ConfigError(f"{self.mode} mode needs n_hidden >= "
-                              f"{min_hidden}, got {self.n_hidden}")
-        for name in ("init_seed", "shuffle_seed", "dropout_seed"):
-            if not 0 <= getattr(self, name) < 2**64:  # a checkpoint's u64
-                raise ConfigError(f"{name} must be in [0, 2**64), "
-                                  f"got {getattr(self, name)}")
-        for name, p in (("input_keep", self.input_keep),
-                        ("hidden_keep", self.hidden_keep)):
-            if not 0.0 < p <= 1.0:
-                raise ConfigError(f"{name} must be in (0, 1], got {p}")
+        check_ranges(self, (
+            ("n_hidden", self.n_hidden >= min_hidden,
+             f">= {min_hidden} in {self.mode} mode"),
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("l2_lambda", 0 <= self.l2_lambda < math.inf, "finite and >= 0"),
+            # each a checkpoint's u64
+            *((name, 0 <= getattr(self, name) < 2**64, "in [0, 2**64)")
+              for name in ("init_seed", "shuffle_seed", "dropout_seed")),
+            ("input_keep", 0.0 < self.input_keep <= 1.0, "in (0, 1]"),
+            ("hidden_keep", 0.0 < self.hidden_keep <= 1.0, "in (0, 1]")))
 
     def trained_views(self) -> Sequence[int]:
         """Views a run trains: every view of a family, the base view of a
@@ -247,9 +241,11 @@ def step_tasks(config: TrainConfig) -> list[Task]:
     each group's finish, head group first, in row halves. A model's masks
     share its generator and draw array, so each mask waits for the one
     before it and they are drawn in layer order; a layer's forward waits
-    for its own mask and the layer below. A weight gradient is formed only
-    where a finish reads it: in a family, model m's input and second layers
-    (its own and its pair's group), in a baseline every layer. A task
+    for its own mask and the layer below. A group's finish reads the
+    gradients of its sources: in a family, those :func:`group_sources`
+    names, in a baseline the base view's layer that multiplies by it. A
+    weight gradient is formed only where a finish reads it: in a family,
+    model m's input and second layers, in a baseline every layer. A task
     depends on every earlier task that writes what it reads or writes, or
     reads what it writes; so a finish of group g follows every forward and
     error that multiplies by g's weight, and every finish follows the loss
@@ -264,8 +260,7 @@ def step_tasks(config: TrainConfig) -> list[Task]:
     parts = [_halves(config.classes if g == 0 else width)
              for g in range(n + 1)]
     if config.mode == "nsn":
-        sources = [[(g, 0)] + ([(g + 1, 1)] if g < n else [])
-                   for g in range(n + 1)]
+        sources = group_sources(n)
     else:
         sources = [[(0, n - g)] for g in range(n + 1)]
     formed = {grad for grads in sources for grad in grads}
@@ -476,8 +471,9 @@ def train_step(family: ModelFamily, momentum: Sequence[MomentumState],
     ``momentum`` is one state per group, head first. ``config.mode``
     chooses what a family's step does and a baseline's does not: a family
     ("nsn") step first runs the lesser-to-bigger copy, and its finishes
-    pair the gradients and update EMA momentum; a baseline's finishes take
-    the base view's own gradients and update standard momentum.
+    update EMA momentum; a baseline's update standard momentum. A finish
+    averages the two gradients its task names (a family's pair) and passes
+    a single one through.
 
     The step runs its tasks on the two lanes, into ``workspace`` (built
     when None, for the batch's rows). A "mask" task draws one dropout mask
@@ -516,13 +512,12 @@ def train_step(family: ModelFamily, momentum: Sequence[MomentumState],
     no_rows = slice(0, 0)
 
     def gradient(task: Task, rows: slice, bias_rows: slice) -> LayerGrads:
-        if nsn:
-            (grads,) = paired_average_gradients(grad_sets, (task.group,),
-                                                rows, bias_rows)
-            return grads
-        i, j = task.grads[0]
-        return LayerGrads(grad_sets[i][j].d_weight[rows],
-                          grad_sets[i][j].d_bias[bias_rows])
+        named = [LayerGrads(grad_sets[i][j].d_weight[rows],
+                            grad_sets[i][j].d_bias[bias_rows])
+                 for i, j in task.grads]
+        if len(named) == 2:
+            return paired_average_gradients(named)[0]
+        return named[0]
 
     def descend(p: np.ndarray, v: np.ndarray, grad: np.ndarray) -> None:
         if nsn:
@@ -583,11 +578,10 @@ def train_step(family: ModelFamily, momentum: Sequence[MomentumState],
 reference_step = train_step
 
 
-def evaluate(params: Sequence[DenseLayer], dataset: Dataset,
-             eval_batch: int = EVAL_BATCH) -> float:
+def evaluate(params: Sequence[DenseLayer], dataset: Dataset) -> float:
     """Fraction of samples whose argmax log-probability equals the label.
 
-    The rows are split into chunks of ``eval_batch``, tasks with no
+    The rows are split into chunks of ``EVAL_BATCH``, tasks with no
     dependencies that the two lanes share (see :func:`_run_tasks`); each
     lane counts the correct rows of the chunks it runs, and the counts are
     summed. A chunk that fails stops both lanes, as in a step, and its
@@ -601,12 +595,12 @@ def evaluate(params: Sequence[DenseLayer], dataset: Dataset,
     if dataset.count == 0:
         raise ConfigError("cannot evaluate an empty set: it has no rows")
     spec = spec_for_params(params)
-    rows = min(eval_batch, dataset.count)
+    rows = min(EVAL_BATCH, dataset.count)
     dtype = np.result_type(np.float32, dataset.pixels,
                            *(layer.weight for layer in params))
-    chunks = [Task("chunk", rows=slice(start, min(start + eval_batch,
+    chunks = [Task("chunk", rows=slice(start, min(start + EVAL_BATCH,
                                                   dataset.count)))
-              for start in range(0, dataset.count, eval_batch)]
+              for start in range(0, dataset.count, EVAL_BATCH)]
     lanes = [(ModelBuffers(spec, rows, "eval", dtype),
               np.empty((rows, dataset.pixels.shape[1]), np.float32))
              for _ in range(min(LANES, len(chunks)))]

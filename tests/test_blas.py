@@ -68,6 +68,7 @@ import numpy as np
 from nsn.blas import _openblas
 from nsn.family import build_family
 from nsn.mnist import Dataset
+import nsn.train
 from nsn.train import evaluate
 
 found = _openblas()
@@ -76,11 +77,12 @@ if found is None:
 else:
     get, _ = found
     before = get()
+    nsn.train.EVAL_BATCH = 128  # three chunks, so both lanes run
     rng = np.random.default_rng(0)
     ds = Dataset(pixels=rng.integers(0, 256, (300, 8), np.uint8),
                  labels=rng.integers(0, 4, 300))
     evaluate(build_family(1, input_dim=8, classes=4, init_seed=1).view(1),
-             ds, 128)
+             ds)
     print(before, get())
 """
     out = python_output(code, **{name: "2" for name in names})

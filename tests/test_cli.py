@@ -4,13 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nsn
-from conftest import array_bytes, write_idx_dir
+from conftest import array_bytes, idx_label_bytes, write_idx_dir
 from nsn.checkpoint import load_checkpoint, save_checkpoint
 from nsn.cli import build_parser, load_config_file, main
-from nsn.mnist import TEST_LABELS
+from nsn.mnist import TEST_IMAGES, TEST_LABELS
 from nsn.nn import DenseLayer
 from nsn.optim import MomentumState
 
@@ -115,7 +116,9 @@ class TestTrainCommand:
                      "--n-hidden", "1", "--epochs", "2", "--decay-every",
                      "1", flag, value])
         assert code == 2
-        assert f"{name} must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{flag} must be finite" in err
+        assert name not in err
         assert not out.exists()
 
     def test_train_ref_runs(self, tmp_path, capsys):
@@ -360,6 +363,64 @@ class TestEvalCommands:
         assert code == 2
 
 
+def assert_usage_error(tmp_path, capsys, argv, *wanted):
+    """``nsn ARGV --out-dir tmp/run`` exits 2, its error says each of
+    ``wanted``, and no out dir is made."""
+    out = tmp_path / "run"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    for text in wanted:
+        assert text in err
+    assert not out.exists()
+    return err
+
+
+class TestBadFlagValues:
+    # the value each flag's field rejects, and the field's name, which the
+    # error shows only as part of the flag
+    @pytest.mark.parametrize("command", ["train", "train-ref"])
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--batch", "0", "batch_size"), ("--l2", "-1", "l2_lambda"),
+        ("--lr", "nan", "base_lr"), ("--n-hidden", "-1", "n_hidden"),
+        ("--epochs", "0", "epochs"), ("--input-keep", "0", "input_keep"),
+        ("--hidden-keep", "1.5", "hidden_keep"),
+        ("--alpha", "1", "alpha"), ("--decay-every", "0", "decay_every"),
+        ("--decay-factor", "inf", "decay_factor")])
+    def test_the_error_names_the_flag(self, tmp_path, capsys, command, flag,
+                                      value, field):
+        data = write_idx_dir(tmp_path / "data")
+        err = assert_usage_error(
+            tmp_path, capsys, [command, "--data-dir", str(data),
+                               "--n-hidden", "1", flag, value],
+            f"error: {flag} must be")
+        assert field not in err.replace(flag, "")
+
+    def test_a_family_of_no_hidden_layer_names_n_hidden_not_l2(
+            self, tmp_path, capsys):
+        data = write_idx_dir(tmp_path / "data")
+        for extra in ([], ["--l2", "1e-4"]):
+            err = assert_usage_error(
+                tmp_path, capsys, ["train", "--data-dir", str(data),
+                                   "--n-hidden", "0", *extra],
+                "error: --n-hidden must be >= 1 in nsn mode, got 0")
+            assert "--l2" not in err
+
+    def test_a_depth_with_no_default_l2_asks_for_it(self, tmp_path, capsys):
+        data = write_idx_dir(tmp_path / "data")
+        assert_usage_error(
+            tmp_path, capsys, ["train-ref", "--data-dir", str(data),
+                               "--n-hidden", "3"],
+            "error: no default --l2 for --n-hidden 3; pass --l2 explicitly")
+
+    def test_more_test_images_than_labels(self, tmp_path, capsys):
+        data = write_idx_dir(tmp_path / "data", test_count=64)
+        (data / TEST_LABELS).write_bytes(idx_label_bytes(np.zeros(63, np.uint8)))
+        assert_usage_error(
+            tmp_path, capsys, ["train", "--data-dir", str(data),
+                               "--n-hidden", "1", "--epochs", "1"],
+            f"{data / TEST_IMAGES}: 64 images but 63 labels")
+
+
 class TestConfigFile:
     def test_file_overrides_defaults_flags_override_file(self, tmp_path,
                                                          capsys):
@@ -451,6 +512,14 @@ class TestConfigFile:
                      "--data-dir", str(tmp_path), "--out-dir", str(tmp_path)])
         assert code == 2
         assert f"{cfg} is not a UTF-8 text file" in capsys.readouterr().err
+
+    def test_a_line_without_equals_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=1\n# comment\nbatch 32\n")
+        assert_usage_error(
+            tmp_path, capsys, ["train", "--config", str(cfg),
+                               "--data-dir", str(tmp_path)],
+            f"{cfg}:3: expected key=value, got 'batch 32'")
 
     def test_parse_and_comments(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -4,8 +4,8 @@ import pytest
 from conftest import traced_peak
 from nsn.errors import ConfigError, ConsistencyError
 from nsn.family import (INIT_ROWS, ModelFamily, build_family, copy_up,
-                        detach, init_layer, paired_average_gradients,
-                        param_count)
+                        detach, group_sources, init_layer,
+                        paired_average_gradients, param_count)
 from nsn.nn import LayerGrads, model_forward, spec_for_params
 from nsn.verify import LiteralFamily, _toy_config
 
@@ -119,50 +119,71 @@ class TestCopyUp:
                     literal.models[m - 1][i - 1].weight)
 
 
+class TestGroupSources:
+    def test_the_pairing_rule_for_n_1_to_3(self):
+        assert group_sources(1) == [[(0, 0), (1, 1)], [(1, 0)]]
+        assert group_sources(2) == [[(0, 0), (1, 1)], [(1, 0), (2, 1)],
+                                    [(2, 0)]]
+        assert group_sources(3) == [[(0, 0), (1, 1)], [(1, 0), (2, 1)],
+                                    [(2, 0), (3, 1)], [(3, 0)]]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_each_source_is_a_layer_that_multiplies_by_its_group(self, n):
+        family = build_family(n, input_dim=4)
+        for g, sources in enumerate(group_sources(n)):
+            for m, layer in sources:
+                assert family.view(m)[layer] is family.groups[g]
+
+
 class TestPairedAverageGradients:
     def test_hand_scalars_on_tied_head(self):
-        per_model = [[grads_of(0.2)], [grads_of(0.7), grads_of(0.4)]]
-        out = paired_average_gradients(per_model)
+        pair = [grads_of(0.2), grads_of(0.4)]
+        out = paired_average_gradients(pair)
         np.testing.assert_allclose(out[0].d_weight, [[0.3]], rtol=1e-6)
-        # base input layer passes through unaveraged
-        np.testing.assert_allclose(out[1].d_weight, [[0.7]], rtol=1e-6)
+        # in place, into the first gradient; the second is only read
+        assert out == [pair[0]]
+        np.testing.assert_allclose(pair[1].d_weight, [[0.4]], rtol=1e-6)
 
     def test_identical_pair_is_fixed_point(self):
-        per_model = [[grads_of(0.5)], [grads_of(0.1), grads_of(0.5)]]
-        out = paired_average_gradients(per_model)
+        out = paired_average_gradients([grads_of(0.5), grads_of(0.5)])
         np.testing.assert_allclose(out[0].d_weight, [[0.5]], rtol=1e-6)
 
-    def test_wrong_layer_count_rejected(self):
-        with pytest.raises(ConsistencyError):
-            paired_average_gradients([[grads_of(0.1)], [grads_of(0.2)]])
-
     def test_biases_averaged_like_weights(self):
-        per_model = [[grads_of(0.2)], [grads_of(0.7), grads_of(0.4)]]
-        out = paired_average_gradients(per_model)
+        out = paired_average_gradients([grads_of(0.2), grads_of(0.4)])
         np.testing.assert_allclose(out[0].d_bias, [0.3], rtol=1e-6)
 
-    def test_one_group_in_row_ranges_equals_every_group_whole(self):
+    def test_rows_in_any_split_give_the_bytes_of_the_whole(self):
         rng = np.random.default_rng(9)
-
-        def per_model():
-            return [[LayerGrads(rng.random((6, 3), dtype=np.float32),
-                                rng.random(6, dtype=np.float32))
-                     for _ in range(m + 1)] for m in range(3)]
-
-        whole = per_model()
-        split = [[LayerGrads(g.d_weight.copy(), g.d_bias.copy())
-                  for g in grads] for grads in whole]
-        want = paired_average_gradients(whole)
-        for g in (2, 0, 1):
-            for rows in (slice(0, 4), slice(4, 6)):
-                (got,) = paired_average_gradients(split, (g,), rows)
-                assert got.d_weight.tobytes() == \
-                    want[g].d_weight[rows].tobytes()
-                assert np.shares_memory(got.d_weight, split[g][0].d_weight)
+        whole = [LayerGrads(rng.random((6, 3), dtype=np.float32),
+                            rng.random(6, dtype=np.float32))
+                 for _ in range(2)]
+        split = [LayerGrads(g.d_weight.copy(), g.d_bias.copy())
+                 for g in whole]
+        (want,) = paired_average_gradients(whole)
+        for rows, bias_rows in ((slice(0, 4), slice(0, 0)),
+                                (slice(4, 6), slice(0, 0)),
+                                (slice(0, 0), slice(0, 6))):
+            (got,) = paired_average_gradients(
+                [LayerGrads(g.d_weight[rows], g.d_bias[bias_rows])
+                 for g in split])
+            assert got.d_weight.tobytes() == want.d_weight[rows].tobytes()
+            assert np.shares_memory(got.d_weight, split[0].d_weight) \
+                or not got.d_weight.size
         for mine, theirs in zip(split, whole):
-            for a, b in zip(mine, theirs):
-                assert a.d_weight.tobytes() == b.d_weight.tobytes()
-                assert a.d_bias.tobytes() == b.d_bias.tobytes()
+            assert mine.d_weight.tobytes() == theirs.d_weight.tobytes()
+            assert mine.d_bias.tobytes() == theirs.d_bias.tobytes()
+
+    @pytest.mark.parametrize("other", [grads_of(0.4, (2, 1)),
+                                       LayerGrads(np.full((1, 1), 0.4,
+                                                          np.float32),
+                                                  np.full(2, 0.4,
+                                                          np.float32))])
+    def test_a_pair_of_other_shapes_is_rejected_untouched(self, other):
+        own = grads_of(0.2)
+        with pytest.raises(ConsistencyError, match="shapes differ"):
+            paired_average_gradients([own, other])
+        np.testing.assert_allclose(own.d_weight, [[0.2]], rtol=1e-6)
+        np.testing.assert_allclose(own.d_bias, [0.2], rtol=1e-6)
 
 
 class TestDetach:

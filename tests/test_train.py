@@ -574,15 +574,15 @@ class TestByteBackedData:
         assert train_ds.pixels.dtype == np.uint8
 
     def test_evaluate_is_the_same_on_bytes_and_scaled_rows(
-            self, synth_data_dir):
+            self, synth_data_dir, monkeypatch):
+        monkeypatch.setattr(train_module, "EVAL_BATCH", 24)
         _, test_ds = load_data_dir(synth_data_dir)
         scaled = Dataset(
             pixels=test_ds.pixels.astype(np.float32) / np.float32(255.0),
             labels=test_ds.labels)
         family = build_family(2, input_dim=784, classes=10, init_seed=3)
         for view in family.views():
-            assert evaluate(view, test_ds, eval_batch=24) == evaluate(
-                view, scaled, eval_batch=24)
+            assert evaluate(view, test_ds) == evaluate(view, scaled)
 
 
 def workspace_arrays(workspace):
@@ -672,18 +672,19 @@ class TestStepWorkspace:
                 step_fn(family, momentum, batch, config, 0, 0, workspace)
         assert step_state(family, momentum) == before
 
-    def test_evaluate_never_scales_the_whole_set(self):
+    def test_evaluate_never_scales_the_whole_set(self, monkeypatch):
+        monkeypatch.setattr(train_module, "EVAL_BATCH", 128)
         rng = np.random.default_rng(3)
         count = 1024
         ds = Dataset(pixels=rng.integers(0, 256, (count, 784), np.uint8),
                      labels=rng.integers(0, 10, count))
         view = build_family(2, init_seed=4).view(2)
         want = evaluate(view, Dataset(pixels=ds.rows(slice(None)),
-                                      labels=ds.labels), eval_batch=128)
-        peak = traced_peak(lambda: evaluate(view, ds, eval_batch=128))
+                                      labels=ds.labels))
+        peak = traced_peak(lambda: evaluate(view, ds))
         assert peak < count * 784 * 4
         assert "images" not in ds.__dict__ and ds.pixels.dtype == np.uint8
-        assert evaluate(view, ds, eval_batch=128) == want
+        assert evaluate(view, ds) == want
 
 
 
@@ -1132,6 +1133,10 @@ def accuracy_chunk_by_chunk(view, ds, rows):
 
 
 class TestEvaluateLanes:
+    @pytest.fixture(autouse=True)
+    def eval_rows(self, monkeypatch):
+        monkeypatch.setattr(train_module, "EVAL_BATCH", EVAL_ROWS)
+
     def record_forwards(self, monkeypatch, hold_caller=False,
                         fail_on_helper=False):
         """Route evaluate's forward passes through a recorder and return
@@ -1165,14 +1170,14 @@ class TestEvaluateLanes:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as it can
         try:
-            threaded = evaluate(view, ds, EVAL_ROWS)
+            threaded = evaluate(view, ds)
         finally:
             sys.setswitchinterval(interval)
         calls = self.record_forwards(monkeypatch)
         monkeypatch.setattr(train_module, "ThreadPoolExecutor",
                             InlineExecutor)
         monkeypatch.setattr(train_module, "_helper", None)
-        in_turn = evaluate(view, ds, EVAL_ROWS)
+        in_turn = evaluate(view, ds)
         assert threaded == in_turn == accuracy_chunk_by_chunk(view, ds,
                                                               EVAL_ROWS)
         assert [rows for _, rows in calls] == [
@@ -1183,6 +1188,7 @@ class TestEvaluateLanes:
             self, monkeypatch):
         view, ds = eval_case(1000, "bytes")
         rows = 4
+        monkeypatch.setattr(train_module, "EVAL_BATCH", rows)
         first_rows = []
 
         def recording_forward(spec, params, x, *args, **kwargs):
@@ -1193,7 +1199,7 @@ class TestEvaluateLanes:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            acc = evaluate(view, ds, rows)
+            acc = evaluate(view, ds)
         finally:
             sys.setswitchinterval(interval)
         assert sorted(first_rows) == sorted(
@@ -1204,7 +1210,7 @@ class TestEvaluateLanes:
         view, ds = eval_case(48, "bytes")
         want = accuracy_chunk_by_chunk(view, ds, EVAL_ROWS)
         calls = self.record_forwards(monkeypatch, hold_caller=True)
-        assert evaluate(view, ds, EVAL_ROWS) == want
+        assert evaluate(view, ds) == want
         threads = {thread for thread, _ in calls}
         assert len(threads) == 2 and threading.get_ident() in threads
         assert len(calls) == 3
@@ -1217,7 +1223,7 @@ class TestEvaluateLanes:
         gate = threading.Event()
         busy = train_module._helper_thread().submit(gate.wait, 10)
         try:
-            acc = evaluate(view, ds, EVAL_ROWS)
+            acc = evaluate(view, ds)
         finally:
             gate.set()
             busy.result()
@@ -1230,7 +1236,7 @@ class TestEvaluateLanes:
         calls = self.record_forwards(monkeypatch, hold_caller=True,
                                      fail_on_helper=True)
         with pytest.raises(ShapeError, match="helper lane failed"):
-            evaluate(view, ds, EVAL_ROWS)
+            evaluate(view, ds)
         # only the caller's chunks finished; the failure stopped new claims
         assert calls and all(thread == threading.get_ident()
                              for thread, _ in calls)
@@ -1238,10 +1244,10 @@ class TestEvaluateLanes:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_evaluates(self):
         view, ds = eval_case(48, "bytes")
-        want = evaluate(view, ds, EVAL_ROWS)  # the helper has started
+        want = evaluate(view, ds)  # the helper has started
 
         def child():
-            assert evaluate(view, ds, EVAL_ROWS) == want
+            assert evaluate(view, ds) == want
 
         assert exit_code_in_forked_child(child) == 0
 
@@ -1255,12 +1261,13 @@ class TestEvaluateLanes:
 
         monkeypatch.setattr(train_module, "_helper_thread",
                             RecordingExecutor)
-        evaluate(*eval_case(EVAL_ROWS, "bytes"), EVAL_ROWS)
+        evaluate(*eval_case(EVAL_ROWS, "bytes"))
         assert submitted == []
-        evaluate(*eval_case(EVAL_ROWS + 1, "bytes"), EVAL_ROWS)
+        evaluate(*eval_case(EVAL_ROWS + 1, "bytes"))
         assert len(submitted) == 1
 
-    def test_two_lanes_hold_what_one_2048_row_set_held(self):
+    def test_two_lanes_hold_what_one_2048_row_set_held(self, monkeypatch):
+        monkeypatch.setattr(train_module, "EVAL_BATCH", EVAL_BATCH)
         rng = np.random.default_rng(5)
         count = 5 * EVAL_BATCH + 100
         ds = Dataset(pixels=rng.integers(0, 256, (count, 784), np.uint8),

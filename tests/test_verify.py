@@ -4,6 +4,9 @@ import pytest
 import nsn.nn
 from nsn import verify
 from nsn.cli import main
+from nsn.family import build_family
+from nsn.optim import MomentumState
+from nsn.train import train_step
 
 
 class TestChecks:
@@ -32,6 +35,28 @@ class TestChecks:
         b = [LayerGrads(np.array([[1.1]]), np.array([2.0]))]
         err = verify.max_relative_error(a, b)
         assert err == pytest.approx(0.1 / 1.1, rel=1e-6)
+
+
+class TestCanonicalVsLiteralAtEveryDepth:
+    # check_canonical_vs_literal runs at n = 2; these depths pair other
+    # group counts, and at n = 1 the base model's input layer is the only
+    # square group
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_step_matches_the_literal_owner_values(self, n):
+        config = verify._toy_config(n=n)
+        family = build_family(n, config.input_dim, config.classes,
+                              init_seed=13)
+        momentum = [MomentumState.zeros_like(g) for g in family.groups]
+        literal = verify.LiteralFamily(family, config)
+        batches = verify._toy_batches(config, 20, seed=17)
+        for step, batch in enumerate(batches):
+            train_step(family, momentum, batch, config, epoch=0, step=step)
+            literal.step(batch, epoch=0, step=step)
+            for g, group in enumerate(family.groups):
+                owner = literal.owner_layer(g)
+                for got, want in ((group.weight, owner.weight),
+                                  (group.bias, owner.bias)):
+                    assert np.max(np.abs(got - want)) <= 1e-6, (step, g)
 
 
 class TestVerifyCommand:
