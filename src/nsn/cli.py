@@ -4,17 +4,19 @@ Commands: train, train-ref, eval, detach-eval, gradcheck, verify.
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 3 numerical divergence.
 
-Defaults reproduce the experimental protocol: 600 epochs, batch 128,
-initial learning rate 0.3 stepped down by one third every 200 epochs,
-momentum 0.9, input/hidden dropout keep probabilities 0.8/0.5 (none for
-the 0-hidden-layer model). A flat ``key=value`` file passed via --config
-overrides these defaults; explicit flags override the file.
+The train flags default to the experimental protocol as
+:class:`nsn.train.TrainConfig` and :class:`nsn.optim.Schedule` state it,
+each run's L2 weight included (:data:`nsn.train.PROTOCOL_L2`). A flat
+``key=value`` file passed via --config overrides these defaults; explicit
+flags override the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .checkpoint import load_checkpoint
@@ -26,24 +28,28 @@ from .train import (TrainConfig, echo_fields, evaluate,
                     family_from_checkpoint, train, train_reference)
 from .verify import check_gradcheck, run_all
 
-# Per training command: its run mode, its help, the help of --n-hidden, and
-# the default --l2 per --n-hidden, from the experiment grid.
-TRAIN_COMMANDS = {
-    "train": ("nsn", "train a detachable family on MNIST",
-              "hidden layers of the base model (1 or 2 in the reference "
-              "experiments)", {1: 9e-6, 2: 9e-5}),
-    "train-ref": ("reference", "train a single baseline model",
-                  "hidden layers of the baseline model (0, 1, or 2)",
-                  {0: 9e-5, 1: 5e-6, 2: 1e-5}),
-}
+# Per training command: its run mode and its help.
+TRAIN_COMMANDS = {"train": ("nsn", "train a detachable family on MNIST"),
+                  "train-ref": ("reference", "train a single baseline model")}
 
-# The train flag that fills each range-checked TrainConfig and Schedule
-# field; a value the field's check rejects is reported under the flag.
-FIELD_FLAGS = {"n_hidden": "--n-hidden", "epochs": "--epochs",
-               "batch_size": "--batch", "base_lr": "--lr",
-               "alpha": "--alpha", "decay_every": "--decay-every",
-               "decay_factor": "--decay-factor", "l2_lambda": "--l2",
-               "input_keep": "--input-keep", "hidden_keep": "--hidden-keep"}
+# Each train flag that sets a TrainConfig or Schedule field: the flag, the
+# field, and the flag's help, which says what a default of None means. The
+# field's default is the flag's, and a value the field's check rejects is
+# reported under the flag.
+TRAIN_FLAGS = (
+    ("--n-hidden", "n_hidden", "hidden layers of the base model"),
+    ("--epochs", "epochs", "training epochs"),
+    ("--batch", "batch_size", "minibatch size"),
+    ("--lr", "base_lr", "initial learning rate"),
+    ("--alpha", "alpha", "momentum coefficient"),
+    ("--decay-every", "decay_every", "epochs between learning-rate steps"),
+    ("--decay-factor", "decay_factor",
+     "learning-rate multiplier at each step"),
+    ("--l2", "l2_lambda", "L2 penalty weight (default: the paper's for the "
+                          "run, in nsn.train.PROTOCOL_L2)"),
+    ("--input-keep", "input_keep", "input dropout keep probability"),
+    ("--hidden-keep", "hidden_keep", "hidden dropout keep probability"))
+DEFAULTS = {f.name: f.default for f in fields(TrainConfig) + fields(Schedule)}
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -59,11 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "accurate.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, (_, help_text, n_hidden_help, _) in TRAIN_COMMANDS.items():
+    for command, (_, help_text) in TRAIN_COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", type=Path, default=None,
                        help="flat key=value file; flags override it")
-        p.add_argument("--n-hidden", type=int, default=2, help=n_hidden_help)
         # Required, but checked by cmd_train: a --config file may give
         # them, and the first parse runs before the file is read.
         p.add_argument("--data-dir", type=Path, default=None,
@@ -72,28 +77,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", type=Path, default=None,
                        help="directory for metrics.csv, best.csv, and "
                             "checkpoints (required, here or in --config)")
-        p.add_argument("--epochs", type=int, default=600,
-                       help="training epochs (default 600)")
-        p.add_argument("--batch", type=int, default=128,
-                       help="minibatch size (default 128)")
-        p.add_argument("--lr", type=float, default=0.3,
-                       help="initial learning rate (default 0.3)")
-        p.add_argument("--alpha", type=float, default=0.9,
-                       help="momentum coefficient (default 0.9)")
-        p.add_argument("--decay-every", type=int, default=200,
-                       help="epochs between learning-rate steps (default 200)")
-        p.add_argument("--decay-factor", type=float, default=1.0 / 3.0,
-                       help="learning-rate multiplier at each step "
-                            "(default 1/3)")
-        p.add_argument("--l2", type=float, default=None,
-                       help="L2 penalty weight; defaults depend on --n-hidden")
-        p.add_argument("--input-keep", type=float, default=0.8,
-                       help="input dropout keep probability (default 0.8)")
-        p.add_argument("--hidden-keep", type=float, default=0.5,
-                       help="hidden dropout keep probability (default 0.5)")
-        p.add_argument("--seed", type=int, default=0,
+        for flag, name, text in TRAIN_FLAGS:
+            default = DEFAULTS[name]
+            p.add_argument(flag, type=int if isinstance(default, int)
+                           else float, default=default,
+                           help=text if default is None
+                           else f"{text} (default %(default)s)")
+        p.add_argument("--seed", type=int, default=DEFAULTS["init_seed"],
                        help="base seed; init/shuffle/dropout streams use "
-                            "seed, seed+1, seed+2")
+                            "seed, seed+1, seed+2 (default %(default)s)")
         p.add_argument("--no-shuffle", dest="shuffle", action="store_false",
                        help="disable per-epoch shuffling (debugging only)")
         p.add_argument("--resume", type=Path, default=None,
@@ -159,7 +151,7 @@ def _parse_with_config_file(parser: argparse.ArgumentParser,
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    mode, _, _, l2_defaults = TRAIN_COMMANDS[args.command]
+    mode, _ = TRAIN_COMMANDS[args.command]
     missing = [flag for flag, value in (("--data-dir", args.data_dir),
                                         ("--out-dir", args.out_dir))
                if value is None]
@@ -171,29 +163,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not 0 <= args.seed <= 2**64 - 3:
         raise ConfigError(f"--seed must be in [0, 2**64 - 3], "
                           f"got {args.seed}")
-    # 0 stands in for a missing default, so that TrainConfig checks
-    # --n-hidden before the missing --l2 is reported
-    l2 = args.l2 if args.l2 is not None else l2_defaults.get(args.n_hidden, 0)
+    flags = {name: flag for flag, name, _ in TRAIN_FLAGS}
+    values = {name: getattr(args, flag[2:].replace("-", "_"))
+              for name, flag in flags.items()}
     try:
+        schedule = Schedule(**{f.name: values.pop(f.name)
+                               for f in fields(Schedule)})
         config = TrainConfig(
-            mode=mode, n_hidden=args.n_hidden, epochs=args.epochs,
-            batch_size=args.batch,
-            schedule=Schedule(base_lr=args.lr, decay_every=args.decay_every,
-                              decay_factor=args.decay_factor,
-                              alpha=args.alpha),
-            l2_lambda=l2, input_keep=args.input_keep,
-            hidden_keep=args.hidden_keep, shuffle=args.shuffle,
+            mode=mode, schedule=schedule, **values, shuffle=args.shuffle,
             data_dir=args.data_dir, out_dir=args.out_dir,
             init_seed=args.seed, shuffle_seed=args.seed + 1,
             dropout_seed=args.seed + 2)
     except ConfigError as exc:
-        if exc.field not in FIELD_FLAGS:
+        if exc.field not in flags:
             raise
-        raise ConfigError(str(exc).replace(exc.field, FIELD_FLAGS[exc.field],
-                                           1)) from None
-    if args.l2 is None and args.n_hidden not in l2_defaults:
-        raise ConfigError(f"no default --l2 for --n-hidden {args.n_hidden}; "
-                          f"pass --l2 explicitly")
+        # every field the message names, under its flag
+        raise ConfigError(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]),
+                                 str(exc))) from None
     run = train if mode == "nsn" else train_reference
     result = run(config, resume_from=args.resume, log=print)
     accs = " ".join(f"m{i}={v:.4f}"

@@ -109,11 +109,10 @@ class ModelSpec:
         return (self.input_keep,) + (self.hidden_keep,) * (self.n_layers - 1)
 
 
-def spec_for_params(params: Sequence[DenseLayer], input_keep: float = 1.0,
-                    hidden_keep: float = 1.0) -> ModelSpec:
-    """Derive a ModelSpec from a layer list."""
+def spec_for_params(params: Sequence[DenseLayer]) -> ModelSpec:
+    """Derive a ModelSpec, with no dropout, from a layer list."""
     dims = [params[0].in_dim] + [layer.out_dim for layer in params]
-    return ModelSpec(tuple(dims), input_keep, hidden_keep)
+    return ModelSpec(tuple(dims))
 
 
 @dataclass

@@ -80,8 +80,10 @@ from .nn import (DenseLayer, LayerGrads, ModelBuffers, ModelSpec,  # noqa: F401
 from .optim import (MomentumState, Schedule, apply_update, l2_gradient, lr_at,
                     momentum_nsn, momentum_standard)
 
-DEFAULT_EPOCHS = 600
-DEFAULT_BATCH = 128
+# The L2 weight of each run the paper reports (arXiv 1908.00763), by mode
+# and n_hidden: the baselines ref0-2 and the families nsn1-2.
+PROTOCOL_L2 = {("reference", 0): 9e-5, ("reference", 1): 5e-6,
+               ("reference", 2): 1e-5, ("nsn", 1): 9e-6, ("nsn", 2): 9e-5}
 # Rows an evaluation chunk holds; the two lanes' buffers together hold
 # what one 2048-row batch's did. With the kernels OpenBLAS 0.3.31 picks
 # at run time on an AVX-512 machine (SkylakeX), a row's GEMM result is the
@@ -98,12 +100,17 @@ FINAL_CHECKPOINT = "checkpoint_final.nsn"
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One run. The defaults, with :class:`Schedule`'s, are the protocol
+    the paper's five runs share; an ``l2_lambda`` left None becomes the
+    run's own, from :data:`PROTOCOL_L2`, and a run outside that table must
+    give one."""
+
     mode: str = "nsn"  # "nsn" | "reference"
     n_hidden: int = 2
-    epochs: int = DEFAULT_EPOCHS
-    batch_size: int = DEFAULT_BATCH
+    epochs: int = 600
+    batch_size: int = 128
     schedule: Schedule = field(default_factory=Schedule)
-    l2_lambda: float = 9e-5
+    l2_lambda: float | None = None
     input_keep: float = 0.8
     hidden_keep: float = 0.5
     init_seed: int = 0
@@ -120,9 +127,16 @@ class TrainConfig:
             raise ConfigError(f"mode must be 'nsn' or 'reference', "
                               f"got {self.mode!r}")
         min_hidden = 1 if self.mode == "nsn" else 0
+        check_ranges(self, (("n_hidden", self.n_hidden >= min_hidden,
+                             f">= {min_hidden} in {self.mode} mode"),))
+        if self.l2_lambda is None:
+            if (self.mode, self.n_hidden) not in PROTOCOL_L2:
+                raise ConfigError(f"l2_lambda must be given: the protocol "
+                                  f"has no {self.mode} run at n_hidden "
+                                  f"{self.n_hidden}", "l2_lambda")
+            object.__setattr__(self, "l2_lambda",
+                               PROTOCOL_L2[self.mode, self.n_hidden])
         check_ranges(self, (
-            ("n_hidden", self.n_hidden >= min_hidden,
-             f">= {min_hidden} in {self.mode} mode"),
             ("epochs", self.epochs >= 1, ">= 1"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("l2_lambda", 0 <= self.l2_lambda < math.inf, "finite and >= 0"),

@@ -17,6 +17,11 @@ from nsn.mnist import (TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES, TRAIN_LABELS,
 
 IDX_FILES = (TRAIN_IMAGES, TRAIN_LABELS, TEST_IMAGES, TEST_LABELS)
 
+# The L2 weight of each run the paper reports (arXiv 1908.00763), by mode
+# and n_hidden, as the oracle for the one the program states.
+PAPER_L2 = {("reference", 0): 9e-5, ("reference", 1): 5e-6,
+            ("reference", 2): 1e-5, ("nsn", 1): 9e-6, ("nsn", 2): 9e-5}
+
 
 def idx_image_bytes(images: np.ndarray) -> bytes:
     """Serialize a uint8 [count, 28, 28] tensor as an IDX image file."""

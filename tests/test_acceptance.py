@@ -17,9 +17,9 @@ import contextlib
 import csv
 import os
 import struct
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import REAL_DATA
@@ -31,13 +31,11 @@ FULL_REPRO = os.environ.get("NSN_FULL_REPRO") == "1"
 REPRO_DIR = os.environ.get("NSN_REPRO_DIR")
 REPRO_OUT = Path(os.environ.get("NSN_REPRO_OUT", "repro"))
 
-EXPERIMENTS = {
-    "ref0": dict(mode="reference", n_hidden=0, l2_lambda=9e-5),
-    "ref1": dict(mode="reference", n_hidden=1, l2_lambda=5e-6),
-    "ref2": dict(mode="reference", n_hidden=2, l2_lambda=1e-5),
-    "nsn1": dict(mode="nsn", n_hidden=1, l2_lambda=9e-6),
-    "nsn2": dict(mode="nsn", n_hidden=2, l2_lambda=9e-5),
-}
+# Each experiment's (mode, n_hidden); TrainConfig's defaults are the rest
+# of its protocol.
+EXPERIMENTS = {"ref0": ("reference", 0), "ref1": ("reference", 1),
+               "ref2": ("reference", 2), "nsn1": ("nsn", 1),
+               "nsn2": ("nsn", 2)}
 
 _run_cache: dict = {}
 
@@ -56,13 +54,9 @@ def criterion(name: str):
 
 
 def protocol_config(name: str) -> TrainConfig:
-    exp = EXPERIMENTS[name]
-    return TrainConfig(
-        mode=exp["mode"], n_hidden=exp["n_hidden"], epochs=600,
-        batch_size=128, schedule=Schedule(base_lr=0.3, decay_every=200,
-                                          decay_factor=1.0 / 3.0, alpha=0.9),
-        l2_lambda=exp["l2_lambda"], input_keep=0.8, hidden_keep=0.5,
-        data_dir=REAL_DATA, out_dir=REPRO_OUT / name)
+    mode, n_hidden = EXPERIMENTS[name]
+    return TrainConfig(mode=mode, n_hidden=n_hidden, data_dir=REAL_DATA,
+                       out_dir=REPRO_OUT / name)
 
 
 def read_best_csv(path: Path) -> list[float]:
@@ -156,12 +150,9 @@ class TestSmokeRun:
             if REAL_DATA is None:
                 pytest.skip("real MNIST IDX files not found; "
                             "set NSN_DATA_DIR")
-            config = TrainConfig(
-                mode="nsn", n_hidden=2, epochs=30, batch_size=128,
-                schedule=Schedule(base_lr=0.3, decay_every=10,
-                                  decay_factor=1.0 / 3.0, alpha=0.9),
-                l2_lambda=9e-5, input_keep=0.8, hidden_keep=0.5,
-                data_dir=REAL_DATA, out_dir=tmp_path)
+            config = replace(protocol_config("nsn2"), epochs=30,
+                             schedule=Schedule(decay_every=10),
+                             out_dir=tmp_path)
             result = train(config, log=print)
             accs = result.best_accuracies
             print(f"  best epoch {result.best_epoch}: "

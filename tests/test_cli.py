@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import nsn
-from conftest import array_bytes, idx_label_bytes, write_idx_dir
+from conftest import PAPER_L2, array_bytes, idx_label_bytes, write_idx_dir
 from nsn.checkpoint import load_checkpoint, save_checkpoint
 from nsn.cli import build_parser, load_config_file, main
 from nsn.mnist import TEST_IMAGES, TEST_LABELS
 from nsn.nn import DenseLayer
 from nsn.optim import MomentumState
+from nsn.train import TrainConfig, TrainResult
 
 
 def run_tiny_train(tmp_path, *extra):
@@ -38,11 +39,13 @@ class TestHelp:
         assert "--" in out or cmd in ("gradcheck", "verify")
 
     def test_defaults_documented(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["train", "--help"])
-        out = capsys.readouterr().out
-        for token in ("600", "128", "0.3", "0.9", "200"):
-            assert token in out
+        for cmd in ("train", "train-ref"):
+            with pytest.raises(SystemExit):
+                main([cmd, "--help"])
+            out = capsys.readouterr().out
+            for token in ("600", "128", "0.3", "0.9", "200", "0.8", "0.5",
+                          "PROTOCOL_L2"):
+                assert token in out
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -407,10 +410,13 @@ class TestBadFlagValues:
 
     def test_a_depth_with_no_default_l2_asks_for_it(self, tmp_path, capsys):
         data = write_idx_dir(tmp_path / "data")
-        assert_usage_error(
-            tmp_path, capsys, ["train-ref", "--data-dir", str(data),
-                               "--n-hidden", "3"],
-            "error: no default --l2 for --n-hidden 3; pass --l2 explicitly")
+        for command, mode in (("train", "nsn"), ("train-ref", "reference")):
+            err = assert_usage_error(
+                tmp_path, capsys, [command, "--data-dir", str(data),
+                                   "--n-hidden", "3"],
+                f"error: --l2 must be given: the protocol has no {mode} run "
+                f"at --n-hidden 3")
+            assert "l2_lambda" not in err and "n_hidden" not in err
 
     def test_more_test_images_than_labels(self, tmp_path, capsys):
         data = write_idx_dir(tmp_path / "data", test_count=64)
@@ -419,6 +425,31 @@ class TestBadFlagValues:
             tmp_path, capsys, ["train", "--data-dir", str(data),
                                "--n-hidden", "1", "--epochs", "1"],
             f"{data / TEST_IMAGES}: 64 images but 63 labels")
+
+
+class TestProtocol:
+    @pytest.mark.parametrize("mode,n_hidden", list(PAPER_L2))
+    def test_required_flags_alone_train_the_configs_run(
+            self, tmp_path, monkeypatch, mode, n_hidden):
+        # the config cmd_train hands the trainer, which writes its echo
+        trained = []
+
+        def run(config, resume_from=None, log=None):
+            trained.append(config)
+            return TrainResult([], 0, [], [], tmp_path / "ckpt")
+
+        monkeypatch.setattr(nsn.cli, "train" if mode == "nsn"
+                            else "train_reference", run)
+        command = "train" if mode == "nsn" else "train-ref"
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert main([command, "--n-hidden", str(n_hidden), "--data-dir",
+                     str(data), "--out-dir", str(out)]) == 0
+        (config,) = trained
+        assert config.echo() == TrainConfig(
+            mode=mode, n_hidden=n_hidden, data_dir=data,
+            out_dir=out).echo()
+        assert json.loads(config.echo())["l2_lambda"] == PAPER_L2[mode,
+                                                                  n_hidden]
 
 
 class TestConfigFile:

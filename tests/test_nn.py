@@ -200,14 +200,14 @@ class TestModelForward:
 
     def test_train_with_dropout_requires_rng(self):
         params = random_layers((6, 5, 10))
-        spec = nn.spec_for_params(params, input_keep=0.8)
+        spec = nn.ModelSpec(nn.spec_for_params(params).dims, 0.8)
         x = np.zeros((2, 6), np.float32)
         with pytest.raises(ConfigError):
             nn.model_forward(spec, params, x, "train")
 
     def test_dropout_only_in_train_mode(self):
         params = random_layers((6, 5, 10))
-        spec = nn.spec_for_params(params, input_keep=0.5, hidden_keep=0.5)
+        spec = nn.ModelSpec(nn.spec_for_params(params).dims, 0.5, 0.5)
         x = np.random.default_rng(9).random((4, 6)).astype(np.float32)
         eval_a, _ = nn.model_forward(spec, params, x, "eval")
         eval_b, _ = nn.model_forward(spec, params, x, "eval")
@@ -278,7 +278,7 @@ class TestModelBackward:
 
     def test_buffers_no_train_pass_wrote_last_are_rejected(self):
         params = random_layers((5, 4, 3))
-        spec = nn.spec_for_params(params, input_keep=0.8, hidden_keep=0.5)
+        spec = nn.ModelSpec(nn.spec_for_params(params).dims, 0.8, 0.5)
         x = np.random.default_rng(18).random((2, 5)).astype(np.float32)
         labels = np.array([0, 1])
         buffers = nn.ModelBuffers(spec, 2)
@@ -358,7 +358,7 @@ class TestInPlaceMasks:
     def test_equals_a_separate_masked_array_per_layer(self, keep, dtype):
         dims = (12, 16, 16, 5)
         params = random_layers(dims, seed=40, dtype=dtype)
-        spec = nn.spec_for_params(params, input_keep=keep, hidden_keep=keep)
+        spec = nn.ModelSpec(nn.spec_for_params(params).dims, keep, keep)
         rng = np.random.default_rng(41)
         x = (rng.random((24, 12)) - 0.5).astype(dtype)
         labels = rng.integers(0, 5, size=24)
@@ -404,7 +404,7 @@ class TestModelBuffers:
     @pytest.mark.parametrize("rows", [7, 3])
     def test_passes_into_buffers_equal_fresh_ones_bitwise(self, rows):
         params = random_layers((6, 6, 6, 4), seed=32)
-        spec = nn.spec_for_params(params, input_keep=0.8, hidden_keep=0.5)
+        spec = nn.ModelSpec(nn.spec_for_params(params).dims, 0.8, 0.5)
         rng = np.random.default_rng(33)
         x = rng.random((rows, 6)).astype(np.float32)
         labels = rng.integers(0, 4, size=rows)
@@ -544,7 +544,7 @@ class TestNumericalGradient:
 
     def test_requires_dropout_off(self):
         params = random_layers((4, 3))
-        spec = nn.spec_for_params(params, input_keep=0.5)
+        spec = nn.ModelSpec(nn.spec_for_params(params).dims, 0.5)
         with pytest.raises(ConfigError):
             nn.numerical_gradient(spec, params, np.zeros((1, 4)),
                                   np.array([0]))

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import json
 import math
 import os
 import signal
@@ -10,8 +12,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import array_bytes, toy_dataset, traced_peak
+from conftest import PAPER_L2, array_bytes, toy_dataset, traced_peak
 from nsn.checkpoint import load_checkpoint
 from nsn.errors import (ConfigError, ConsistencyError, DivergenceError,
                         ShapeError)
@@ -504,6 +508,30 @@ class TestConfigValidation:
     def test_reference_allows_zero_hidden(self):
         assert toy_config(mode="reference", n_hidden=0).n_hidden == 0
 
+    @pytest.mark.parametrize("mode,n_hidden", list(PAPER_L2))
+    def test_an_unset_l2_is_the_papers_for_the_run(self, mode, n_hidden):
+        config = TrainConfig(mode=mode, n_hidden=n_hidden)
+        assert config.l2_lambda == PAPER_L2[mode, n_hidden]
+        assert json.loads(config.echo())["l2_lambda"] == config.l2_lambda
+        explicit = TrainConfig(mode=mode, n_hidden=n_hidden, l2_lambda=0.5)
+        assert explicit.l2_lambda == 0.5
+
+    @pytest.mark.parametrize("mode,n_hidden", [("nsn", 3), ("nsn", 6),
+                                               ("reference", 3)])
+    def test_a_run_outside_the_protocol_must_give_its_l2(self, mode,
+                                                         n_hidden):
+        with pytest.raises(ConfigError, match="^l2_lambda must be given") \
+                as exc:
+            TrainConfig(mode=mode, n_hidden=n_hidden)
+        assert exc.value.field == "l2_lambda"
+        config = TrainConfig(mode=mode, n_hidden=n_hidden, l2_lambda=1e-4)
+        assert config.l2_lambda == 1e-4
+
+    def test_n_hidden_is_checked_before_the_l2_is_looked_up(self):
+        with pytest.raises(ConfigError) as exc:
+            TrainConfig(mode="nsn", n_hidden=0)
+        assert exc.value.field == "n_hidden"
+
 
 class TestRunKind:
     FAMILY_ONLY = ("copy_up", "paired_average_gradients", "momentum_nsn")
@@ -711,6 +739,13 @@ def square_gemms(config, task):
     return int(task.kind in ("forward", "error", "weight") and task.layer < m)
 
 
+def helper_lane_returned():
+    """Wait until the helper thread has returned from the lane it is in,
+    and so has recorded any error that lane raised: the thread runs one job
+    at a time, so a job submitted now runs only after that lane's."""
+    train_module._helper_thread().submit(int).result(10)
+
+
 def step_state(family, momentum):
     return array_bytes(family.groups) + array_bytes(momentum)
 
@@ -865,15 +900,19 @@ class TestLanes:
         config = toy_config(n_hidden=2)
         family, momentum = fresh_family(config)
         caller = threading.get_ident()
-        helper_started = threading.Event()
+        caller_started = threading.Event()
         caller_done = []
         forward = train_module.layer_forward
 
+        # The helper's forward fails while the caller runs one, whichever
+        # lane claims a forward first: a forward of another model is
+        # always ready beside the caller's.
         def failing_forward(params, buffers, x, i, *args, **kwargs):
             if threading.get_ident() != caller:
-                helper_started.set()
+                assert caller_started.wait(10)
                 raise ShapeError("helper lane failed")
-            assert helper_started.wait(10)
+            caller_started.set()
+            helper_lane_returned()
             result = forward(params, buffers, x, i, *args, **kwargs)
             caller_done.append((len(params) - 1, i))
             return result
@@ -903,7 +942,8 @@ class TestStepTasks:
                              + [("reference", n) for n in range(4)])
     def test_every_hazard_is_ordered_and_every_gradient_is_read(
             self, mode, n_hidden):
-        config = TrainConfig(mode=mode, n_hidden=n_hidden)
+        # most of these depths are outside the protocol, which gives no L2
+        config = TrainConfig(mode=mode, n_hidden=n_hidden, l2_lambda=0.0)
         views = config.trained_views()
         tasks = step_tasks(config)
         ancestors = []
@@ -965,7 +1005,7 @@ class TestStepTasks:
     @pytest.mark.parametrize("n_hidden,gemms", [(2, 7), (4, 23), (6, 47)])
     def test_square_gemms_of_a_family_step(self, n_hidden, gemms):
         # forming every gradient would take 7, 26 and 57
-        config = TrainConfig(n_hidden=n_hidden)
+        config = TrainConfig(n_hidden=n_hidden, l2_lambda=0.0)
         assert sum(square_gemms(config, task)
                    for task in step_tasks(config)) == gemms
 
@@ -1048,6 +1088,66 @@ class TestStepTasks:
         assert all(np.isnan(a).all() for a in unread)
 
 
+@st.composite
+def task_graphs(draw):
+    """A task list of 1-10 tasks in topological order, each waiting for up
+    to three earlier ones, and a short sleep for each task."""
+    count = draw(st.integers(1, 10))
+    tasks = [Task("t", deps=tuple(sorted(draw(
+                 st.sets(st.integers(0, k - 1), max_size=3)))) if k else ())
+             for k in range(count)]
+    sleeps = draw(st.lists(st.sampled_from([0.0, 1e-5, 1e-4, 1e-3]),
+                           min_size=count, max_size=count))
+    return tasks, sleeps
+
+
+class TaskFailed(Exception):
+    def __init__(self, k):
+        super().__init__(f"task {k} failed")
+        self.k = k
+
+
+class TaskLog:
+    """A ``run`` for :func:`_run_tasks` that sleeps each task's time and
+    logs its ("start" | "end" | "raise", task, lane) events in one order.
+    The first task at or after ``fail_from`` that ``fail_lane`` runs
+    raises. A caller's task that starts after a helper's raised finishes
+    only once the helper's lane has returned, with the error recorded."""
+
+    def __init__(self, sleeps, fail_lane=None, fail_from=0):
+        self.sleeps, self.fail_lane, self.fail_from = (sleeps, fail_lane,
+                                                       fail_from)
+        self.events = []
+        self.raised = False
+        self.lock = threading.Lock()
+
+    def log(self, what, k, lane):
+        with self.lock:
+            self.events.append((what, k, lane))
+            self.raised |= what == "raise"
+
+    def run(self, k, lane):
+        self.log("start", k, lane)
+        if self.raised and lane == 0:
+            helper_lane_returned()
+        time.sleep(self.sleeps[k])
+        if lane == self.fail_lane and k >= self.fail_from:
+            self.fail_lane = None  # only once
+            self.log("raise", k, lane)
+            raise TaskFailed(k)
+        self.log("end", k, lane)
+
+
+@contextlib.contextmanager
+def switching_often():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as it can
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestRunTasks:
     @pytest.mark.parametrize("failing_lane", [0, 1])
     def test_a_task_failing_while_the_other_lane_waits_on_it_ends_the_run(
@@ -1080,6 +1180,68 @@ class TestRunTasks:
         assert len(raised) == 1
         assert sorted(lane for _, lane in ran) == [0, 1]
         assert "c" not in [kind for kind, _ in ran]
+
+    @settings(deadline=None, max_examples=60)
+    @given(graph=task_graphs(), fail_lane=st.sampled_from([None, 0, 1]),
+           fail_from=st.integers(0, 9))
+    def test_any_graph_runs_each_task_once_after_its_deps(
+            self, graph, fail_lane, fail_from):
+        tasks, sleeps = graph
+        log = TaskLog(sleeps, fail_lane, fail_from)
+        with switching_often():
+            try:
+                train_module._run_tasks(tasks, log.run)
+            except TaskFailed as exc:
+                failed = exc
+            else:
+                failed = None
+        at_return = list(log.events)
+        helper_lane_returned()
+        # both lanes were done: nothing ran on after the call returned
+        assert log.events == at_return
+        starts = [(k, lane) for what, k, lane in at_return
+                  if what == "start"]
+        ended = [k for what, k, _ in at_return if what != "start"]
+        assert sorted(ended) == sorted(k for k, _ in starts)
+        assert len(set(ended)) == len(ended)  # each task at most once
+        done = set()
+        for what, k, _ in at_return:
+            if what == "start":
+                assert set(tasks[k].deps) <= done
+            elif what == "end":
+                done.add(k)
+        raises = [(k, lane) for what, k, lane in at_return if what == "raise"]
+        if failed is None:
+            assert raises == [] and sorted(ended) == list(range(len(tasks)))
+            return
+        # the one task that raised is the error raised, and it stopped new
+        # claims: its lane started none after it, and the other lane at
+        # most the one it claimed before the error was recorded
+        ((k, lane),) = raises
+        assert failed.k == k
+        at = at_return.index(("raise", k, lane))
+        after = [other for what, _, other in at_return[at:]
+                 if what == "start"]
+        assert lane not in after
+        if lane == 1:
+            assert len(after) <= 1
+
+    @settings(deadline=None, max_examples=30)
+    @given(graph=task_graphs())
+    def test_with_the_helper_busy_the_caller_runs_every_task_in_order(
+            self, graph):
+        tasks, sleeps = graph
+        log = TaskLog(sleeps)
+        gate = threading.Event()
+        busy = train_module._helper_thread().submit(gate.wait, 10)
+        try:
+            with switching_often():
+                train_module._run_tasks(tasks, log.run)
+        finally:
+            gate.set()
+            busy.result()
+        assert [(k, lane) for what, k, lane in log.events
+                if what == "start"] == [(k, 0) for k in range(len(tasks))]
 
 
 def exit_code_in_forked_child(fn):
@@ -1137,23 +1299,27 @@ class TestEvaluateLanes:
     def eval_rows(self, monkeypatch):
         monkeypatch.setattr(train_module, "EVAL_BATCH", EVAL_ROWS)
 
-    def record_forwards(self, monkeypatch, hold_caller=False,
+    def record_forwards(self, monkeypatch, meet=False,
                         fail_on_helper=False):
         """Route evaluate's forward passes through a recorder and return
         the (thread ident, rows) list it appends each finished pass to.
-        With ``hold_caller``, the caller's passes first wait for the
-        helper to start one; with ``fail_on_helper``, the helper's raise."""
+        With ``meet``, a lane's pass waits until the other lane has started
+        one, so each lane runs a chunk whichever claims first. With
+        ``fail_on_helper`` as well, the helper's pass then raises, and the
+        caller's finishes only once the helper's lane has returned."""
         caller = threading.get_ident()
-        helper_started = threading.Event()
+        started = [threading.Event(), threading.Event()]  # by lane
         calls = []
 
         def recording_forward(spec, params, x, *args, **kwargs):
-            if threading.get_ident() != caller:
-                helper_started.set()
-                if fail_on_helper:
+            lane = int(threading.get_ident() != caller)
+            started[lane].set()
+            if meet:
+                assert started[1 - lane].wait(10)
+            if fail_on_helper:
+                if lane == 1:
                     raise ShapeError("helper lane failed")
-            elif hold_caller:
-                assert helper_started.wait(10)
+                helper_lane_returned()
             result = model_forward(spec, params, x, *args, **kwargs)
             calls.append((threading.get_ident(), x.shape[0]))
             return result
@@ -1209,7 +1375,7 @@ class TestEvaluateLanes:
     def test_chunks_run_on_both_threads(self, monkeypatch):
         view, ds = eval_case(48, "bytes")
         want = accuracy_chunk_by_chunk(view, ds, EVAL_ROWS)
-        calls = self.record_forwards(monkeypatch, hold_caller=True)
+        calls = self.record_forwards(monkeypatch, meet=True)
         assert evaluate(view, ds) == want
         threads = {thread for thread, _ in calls}
         assert len(threads) == 2 and threading.get_ident() in threads
@@ -1233,13 +1399,14 @@ class TestEvaluateLanes:
     def test_an_error_in_the_helper_lane_is_raised_by_evaluate(
             self, monkeypatch):
         view, ds = eval_case(48, "bytes")
-        calls = self.record_forwards(monkeypatch, hold_caller=True,
+        calls = self.record_forwards(monkeypatch, meet=True,
                                      fail_on_helper=True)
         with pytest.raises(ShapeError, match="helper lane failed"):
             evaluate(view, ds)
         # only the caller's chunks finished; the failure stopped new claims
         assert calls and all(thread == threading.get_ident()
                              for thread, _ in calls)
+        assert calls == [(threading.get_ident(), EVAL_ROWS)]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_evaluates(self):
