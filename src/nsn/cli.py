@@ -6,9 +6,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 
 The train flags default to the experimental protocol as
 :class:`nsn.train.TrainConfig` and :class:`nsn.optim.Schedule` state it,
-each run's L2 weight included (:data:`nsn.train.PROTOCOL_L2`). A flat
-``key=value`` file passed via --config overrides these defaults; explicit
-flags override the file.
+each run's L2 weight included (:data:`nsn.train.PROTOCOL_L2`); --seed is
+the run's one seed. A flat ``key=value`` file passed via --config
+overrides these defaults, each key a train flag's own name; explicit flags
+override the file.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ TRAIN_FLAGS = (
     ("--l2", "l2_lambda", "L2 penalty weight (default: the paper's for the "
                           "run, in nsn.train.PROTOCOL_L2)"),
     ("--input-keep", "input_keep", "input dropout keep probability"),
-    ("--hidden-keep", "hidden_keep", "hidden dropout keep probability"))
+    ("--hidden-keep", "hidden_keep", "hidden dropout keep probability"),
+    ("--seed", "seed", "base seed; the init, shuffle and dropout streams "
+                       "use seed, seed + 1 and seed + 2"))
 DEFAULTS = {f.name: f.default for f in fields(TrainConfig) + fields(Schedule)}
 
 EXIT_OK = 0
@@ -83,11 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                            else float, default=default,
                            help=text if default is None
                            else f"{text} (default %(default)s)")
-        p.add_argument("--seed", type=int, default=DEFAULTS["init_seed"],
-                       help="base seed; init/shuffle/dropout streams use "
-                            "seed, seed+1, seed+2 (default %(default)s)")
-        p.add_argument("--no-shuffle", dest="shuffle", action="store_false",
-                       help="disable per-epoch shuffling (debugging only)")
         p.add_argument("--resume", type=Path, default=None,
                        help="checkpoint to resume from")
         p.set_defaults(func=cmd_train)
@@ -135,19 +133,20 @@ def load_config_file(path: Path) -> dict[str, str]:
 
 
 def _parse_with_config_file(parser: argparse.ArgumentParser,
-                            argv: list[str], path: Path) -> argparse.Namespace:
-    """Parse again with the file's entries as flags ahead of the command
-    line's own, so that the command line wins: ``key=true`` is the bare
-    switch ``--key``, any other ``key=value`` is ``--key=value``."""
-    flags = [f"--{key.replace('_', '-')}"
-             + ("" if value.lower() == "true" else f"={value}")
-             for key, value in load_config_file(path).items()]
-    args, unparsed = parser.parse_known_args(argv[:1] + flags + argv[1:])
-    if unparsed:  # the command line parsed alone, so these are the file's
-        keys = ", ".join(token.lstrip("-").split("=", 1)[0]
-                         for token in unparsed)
-        raise ConfigError(f"{path}: unknown config keys: {keys}")
-    return args
+                            argv: list[str],
+                            args: argparse.Namespace) -> argparse.Namespace:
+    """Parse again with the file's entries as ``--key=value`` flags ahead of
+    the command line's own, so that the command line wins. A key is a train
+    flag's whole name: argparse would take ``epoch`` for ``--epochs``."""
+    values = load_config_file(args.config)
+    keys = set(vars(args)) - {"command", "config", "func"}  # the flags' dests
+    unknown = [key.replace("_", "-") for key in values if key not in keys]
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown config keys: "
+                          f"{', '.join(unknown)}")
+    flags = [f"--{key.replace('_', '-')}={value}"
+             for key, value in values.items()]
+    return parser.parse_args(argv[:1] + flags + argv[1:])
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -158,22 +157,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     if missing:
         raise ConfigError(f"{', '.join(missing)} must be given on the "
                           f"command line or in the --config file")
-    # the three streams take seed, seed + 1 and seed + 2, each a
-    # checkpoint's u64
-    if not 0 <= args.seed <= 2**64 - 3:
-        raise ConfigError(f"--seed must be in [0, 2**64 - 3], "
-                          f"got {args.seed}")
     flags = {name: flag for flag, name, _ in TRAIN_FLAGS}
     values = {name: getattr(args, flag[2:].replace("-", "_"))
               for name, flag in flags.items()}
     try:
         schedule = Schedule(**{f.name: values.pop(f.name)
                                for f in fields(Schedule)})
-        config = TrainConfig(
-            mode=mode, schedule=schedule, **values, shuffle=args.shuffle,
-            data_dir=args.data_dir, out_dir=args.out_dir,
-            init_seed=args.seed, shuffle_seed=args.seed + 1,
-            dropout_seed=args.seed + 2)
+        config = TrainConfig(mode=mode, schedule=schedule, **values,
+                             data_dir=args.data_dir, out_dir=args.out_dir)
     except ConfigError as exc:
         if exc.field not in flags:
             raise
@@ -262,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None) is not None:
-            args = _parse_with_config_file(parser, argv, args.config)
+            args = _parse_with_config_file(parser, argv, args)
         return args.func(args)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -149,20 +149,17 @@ def load_data_dir(data_dir: Path) -> tuple[Dataset, Dataset]:
 
 
 def batches(dataset: Dataset, batch_size: int, epoch: int,
-            seed: int | None = None
-            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+            seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (images[b, 784], labels[b]) covering every sample exactly once.
 
-    The order is a pure function of (``seed``, ``epoch``), or the file's
-    order when ``seed`` is None. The final batch may be smaller than
-    ``batch_size``, which must be in [1, count].
+    The order is a pure function of (``seed``, ``epoch``). The final batch
+    may be smaller than ``batch_size``, which must be in [1, count].
     """
     count = dataset.count
     if not 1 <= batch_size <= count:
         raise ConfigError(f"batch_size must be in [1, {count}] for a set of "
                           f"{count} samples, got {batch_size}")
-    order = (np.arange(count) if seed is None
-             else np.random.default_rng([seed, epoch]).permutation(count))
+    order = np.random.default_rng([seed, epoch]).permutation(count)
     for start in range(0, count, batch_size):
         idx = order[start:start + batch_size]
         yield dataset.rows(idx), dataset.labels[idx]

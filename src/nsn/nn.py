@@ -247,7 +247,7 @@ def nll_loss(logp: np.ndarray, labels: np.ndarray) -> float:
         raise ShapeError(f"labels shape {labels.shape} does not match "
                          f"batch {logp.shape[0]}")
     if labels.size and (labels.min() < 0 or labels.max() >= logp.shape[1]):
-        raise ValueError(f"label out of range [0, {logp.shape[1] - 1}]")
+        raise ConfigError(f"label out of range [0, {logp.shape[1] - 1}]")
     return float(-np.mean(logp[np.arange(logp.shape[0]), labels]))
 
 

@@ -39,9 +39,10 @@ thread, so results are bitwise those of running the tasks one after the
 other, on whichever threads. A step or an evaluation returns or raises
 only once both lanes are idle.
 
-Randomness is split by purpose and keyed by position: shuffling by
-(seed, epoch), dropout by (seed, epoch, step, model). Resuming from a
-checkpoint therefore reproduces the uninterrupted run bit for bit.
+A run has one seed, and its randomness is split by purpose and keyed by
+position: the init by (seed, layer), the batch order by (seed + 1, epoch),
+dropout by (seed + 2, epoch, step, model). Resuming from a checkpoint
+therefore reproduces the uninterrupted run bit for bit.
 
 A run allocates every array its steps write once, in a
 :class:`StepWorkspace`, and updates momentum and parameters in place, so a
@@ -113,14 +114,17 @@ class TrainConfig:
     l2_lambda: float | None = None
     input_keep: float = 0.8
     hidden_keep: float = 0.5
-    init_seed: int = 0
-    shuffle_seed: int = 1
-    dropout_seed: int = 2
-    shuffle: bool = True
+    seed: int = 0
     input_dim: int = 784  # also the hidden width, which tying requires
     classes: int = 10
     data_dir: Path | None = None
     out_dir: Path | None = None
+
+    # The run's three random streams: the init, the batch order and the
+    # dropout masks.
+    init_seed = property(lambda self: self.seed)
+    shuffle_seed = property(lambda self: self.seed + 1)
+    dropout_seed = property(lambda self: self.seed + 2)
 
     def __post_init__(self):
         if self.mode not in ("nsn", "reference"):
@@ -140,9 +144,8 @@ class TrainConfig:
             ("epochs", self.epochs >= 1, ">= 1"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("l2_lambda", 0 <= self.l2_lambda < math.inf, "finite and >= 0"),
-            # each a checkpoint's u64
-            *((name, 0 <= getattr(self, name) < 2**64, "in [0, 2**64)")
-              for name in ("init_seed", "shuffle_seed", "dropout_seed")),
+            # each stream's seed, up to seed + 2, is a checkpoint's u64
+            ("seed", 0 <= self.seed <= 2**64 - 3, "in [0, 2**64 - 3]"),
             ("input_keep", 0.0 < self.input_keep <= 1.0, "in (0, 1]"),
             ("hidden_keep", 0.0 < self.hidden_keep <= 1.0, "in (0, 1]")))
 
@@ -716,14 +719,18 @@ def echo_fields(echo: str) -> dict | None:
 def _changed_fields(config: TrainConfig, echo: str) -> list[str]:
     """Fields of ``config`` that differ from a checkpoint's config echo,
     leaving out those a resumed run may change: its length, its paths, and
-    the seeds, which it takes from the checkpoint."""
+    the seed, which it takes from the checkpoint. A run that did not
+    shuffle, which only an older version could make, differs in
+    ``shuffle``."""
     stored = echo_fields(echo)
     if stored is None:
         raise ConsistencyError("checkpoint has no readable config echo")
-    free = {"epochs", "data_dir", "out_dir", "init_seed", "shuffle_seed",
-            "dropout_seed"}
-    return sorted(k for k, v in json.loads(config.echo()).items()
-                  if k not in free and stored.get(k) != v)
+    free = {"epochs", "data_dir", "out_dir", "seed"}
+    changed = [k for k, v in json.loads(config.echo()).items()
+               if k not in free and stored.get(k) != v]
+    if stored.get("shuffle") is False:
+        changed.append("shuffle")
+    return sorted(changed)
 
 
 def train(config: TrainConfig, train_ds: Dataset | None = None,
@@ -734,7 +741,7 @@ def train(config: TrainConfig, train_ds: Dataset | None = None,
     :func:`train_step`. Track the epoch with the best base-model test
     accuracy and snapshot every model's accuracy there.
 
-    When resuming, the checkpoint's seeds replace the config's, every other
+    When resuming, the checkpoint's seed replaces the config's, every other
     field but the epochs and paths must match the checkpoint's config echo,
     its groups must have the shapes the config builds, the epochs may not
     be fewer than the checkpoint's, and its best epoch is carried on, so
@@ -766,9 +773,11 @@ def train(config: TrainConfig, train_ds: Dataset | None = None,
         if shapes != built:  # n_hidden = the group count - 1
             raise ConsistencyError(f"checkpoint groups have shapes {shapes}, "
                                    f"the config builds {built}")
-        config = replace(config, init_seed=ckpt.init_seed,
-                         shuffle_seed=ckpt.shuffle_seed,
-                         dropout_seed=ckpt.dropout_seed)
+        seeds = (ckpt.init_seed, ckpt.shuffle_seed, ckpt.dropout_seed)
+        if seeds != tuple(range(seeds[0], seeds[0] + 3)):
+            raise ConsistencyError(f"{resume_from} has the seeds {seeds}, "
+                                   f"not a run's seed, seed + 1 and seed + 2")
+        config = replace(config, seed=ckpt.init_seed)
         family, momentum = family_from_checkpoint(ckpt)
         start_epoch = ckpt.epoch
         if ckpt.best_accuracies:  # a version 1 file leaves the best unknown
@@ -803,7 +812,6 @@ def train(config: TrainConfig, train_ds: Dataset | None = None,
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    shuffle_seed = config.shuffle_seed if config.shuffle else None
     writer = _MetricsWriter(out_dir, n_models, start_epoch)
     history: list[MetricsRecord] = []
     workspace = StepWorkspace(config, config.batch_size)
@@ -826,7 +834,8 @@ def train(config: TrainConfig, train_ds: Dataset | None = None,
             loss_sums = np.zeros(n_models)
             seen = 0
             for step, batch in enumerate(batches(
-                    train_ds, config.batch_size, epoch, shuffle_seed)):
+                    train_ds, config.batch_size, epoch,
+                    config.shuffle_seed)):
                 losses = step_fn(family, momentum, batch, config, epoch,
                                  step, workspace)
                 loss_sums += np.asarray(losses) * batch[0].shape[0]

@@ -75,8 +75,7 @@ def _toy_config(n: int = 2, width: int = 4, classes: int = 3,
         l2_lambda=1e-3,
         input_keep=0.8 if dropout else 1.0,
         hidden_keep=0.5 if dropout else 1.0,
-        input_dim=width, classes=classes,
-        shuffle=False)
+        input_dim=width, classes=classes)
 
 
 def _toy_batches(config: TrainConfig, steps: int, seed: int = 11):

@@ -518,14 +518,30 @@ class TestConfigFile:
         data = write_idx_dir(tmp_path / "data", train_count=64,
                              test_count=32)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("epochs=1\nbatch=32\nn-hidden=1\nno-shuffle=true\n")
+        cfg.write_text("epochs=1\nbatch=32\nn-hidden=1\nseed=41\n")
         out = tmp_path / "out"
         code = main(["train", *form.replace("FILE", str(cfg)).split(),
                      "--data-dir", str(data), "--out-dir", str(out)])
         assert code == 0
         ckpt = load_checkpoint(out / "checkpoint_final.nsn")
         assert len(ckpt.groups) == 2
-        assert json.loads(ckpt.config_echo)["shuffle"] is False
+        assert (ckpt.init_seed, ckpt.shuffle_seed,
+                ckpt.dropout_seed) == (41, 42, 43)
+        assert json.loads(ckpt.config_echo)["seed"] == 41
+
+    @pytest.mark.parametrize("line", ["epoch=7", "hidden=0.3", "config=x"])
+    def test_a_key_is_a_flags_whole_name(self, tmp_path, capsys, line):
+        # argparse would take the first two for --epochs and --hidden-keep
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(cfg),
+                     "--data-dir", str(tmp_path), "--out-dir", str(out)])
+        assert code == 2
+        key = line.split("=")[0]
+        assert (f"unknown config keys: {key}\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_internal_name_is_not_a_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -554,9 +570,9 @@ class TestConfigFile:
 
     def test_parse_and_comments(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\n\nepochs = 3\nno_shuffle=true\n")
+        cfg.write_text("# comment\n\nepochs = 3\nn-hidden=1\n")
         values = load_config_file(cfg)
-        assert values == {"epochs": "3", "no_shuffle": "true"}
+        assert values == {"epochs": "3", "n_hidden": "1"}
 
 
 class TestSeedDerivation:

@@ -116,12 +116,6 @@ class TestBatches:
         assert sizes[-1] == 96
         assert all(s == 128 for s in sizes[:-1])
 
-    def test_no_shuffle_is_identity_order(self):
-        ds = dataset_of(10)
-        labels = np.concatenate([lab for _, lab in
-                                 mnist.batches(ds, 4, epoch=3)])
-        np.testing.assert_array_equal(labels, ds.labels)
-
     def test_same_seed_epoch_is_identical(self):
         ds = dataset_of(50)
         a = [x.copy() for x, _ in mnist.batches(ds, 7, epoch=2, seed=9)]
@@ -150,12 +144,12 @@ class TestBatches:
 
     def test_zero_batch_size_is_config_error(self):
         with pytest.raises(ConfigError):
-            list(mnist.batches(dataset_of(3), 0, 0))
+            list(mnist.batches(dataset_of(3), 0, 0, seed=0))
 
     def test_batch_larger_than_dataset_is_config_error(self):
         ds = dataset_of(3)
         with pytest.raises(ConfigError):
-            list(mnist.batches(ds, 4, 0))
+            list(mnist.batches(ds, 4, 0, seed=0))
 
 
 class TestByteBackedDataset:

@@ -169,7 +169,7 @@ class TestNllLoss:
 
     def test_label_out_of_range(self):
         logp = np.zeros((1, 10), np.float32)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="label out of range"):
             nn.nll_loss(logp, np.array([10]))
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PAPER_L2, array_bytes, toy_dataset, traced_peak
-from nsn.checkpoint import load_checkpoint
+from nsn.checkpoint import load_checkpoint, save_checkpoint
 from nsn.errors import (ConfigError, ConsistencyError, DivergenceError,
                         ShapeError)
 from nsn.family import ModelFamily, build_family
@@ -36,8 +36,7 @@ def toy_config(**overrides):
     base = dict(mode="nsn", n_hidden=2, epochs=3, batch_size=8,
                 schedule=Schedule(base_lr=0.1, decay_every=2, alpha=0.9),
                 l2_lambda=1e-4, input_keep=0.8, hidden_keep=0.5,
-                input_dim=4, classes=5,
-                init_seed=5, shuffle_seed=6, dropout_seed=7)
+                input_dim=4, classes=5, seed=5)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -294,12 +293,25 @@ class TestEvaluate:
             evaluate(view, empty)
 
 
+def write_older_echo(path, shuffle=True):
+    """Rewrite the checkpoint at ``path`` with the config echo of a version
+    that stored three seeds and a shuffle switch, not one seed."""
+    ckpt = load_checkpoint(path)
+    echo = json.loads(ckpt.config_echo)
+    seed = echo.pop("seed")
+    echo.update(init_seed=seed, shuffle_seed=seed + 1,
+                dropout_seed=seed + 2, shuffle=shuffle)
+    ckpt.config_echo = json.dumps(echo, sort_keys=True)
+    save_checkpoint(path, ckpt)
+
+
 def assert_resume_matches_uninterrupted_run(tmp_path, mode, n_hidden,
-                                          resume_name):
+                                          resume_name, before_resume=None):
     # At lr 1.0 on this data both trainers peak in their first two
     # epochs and fall back, so the resumed run must carry the best
     # epoch over, and resuming from the best checkpoint re-runs epochs
-    # that metrics.csv already holds.
+    # that metrics.csv already holds. ``before_resume`` may rewrite the
+    # checkpoint the run resumes from.
     run = train if mode == "nsn" else train_reference
     train_ds = toy_dataset(40, 4, 5, seed=6)
     test_ds = toy_dataset(24, 4, 5, seed=7)
@@ -313,6 +325,8 @@ def assert_resume_matches_uninterrupted_run(tmp_path, mode, n_hidden,
     full, resumed = tmp_path / "full", tmp_path / "resumed"
     uninterrupted = run(config(8, full), train_ds, test_ds)
     run(config(4, resumed), train_ds, test_ds)
+    if before_resume is not None:
+        before_resume(resumed / resume_name)
     run(config(8, resumed), train_ds, test_ds,
         resume_from=resumed / resume_name)
 
@@ -383,6 +397,33 @@ class TestTrainLoop:
             self, tmp_path, mode, n_hidden, resume_name):
         assert_resume_matches_uninterrupted_run(tmp_path, mode, n_hidden,
                                                 resume_name)
+
+    def test_resume_from_the_older_echo_matches_uninterrupted_run(
+            self, tmp_path):
+        assert_resume_matches_uninterrupted_run(
+            tmp_path, "nsn", 1, FINAL_CHECKPOINT,
+            before_resume=write_older_echo)
+
+    def test_resume_refuses_a_run_that_did_not_shuffle(self, tmp_path):
+        ds = toy_dataset(40, 4, 5, seed=5)
+        train(toy_config(epochs=1, out_dir=tmp_path / "a"), ds, ds)
+        write_older_echo(tmp_path / "a" / FINAL_CHECKPOINT, shuffle=False)
+        with pytest.raises(ConfigError, match="other values of shuffle$"):
+            train(toy_config(epochs=2, out_dir=tmp_path / "b"), ds, ds,
+                  resume_from=tmp_path / "a" / FINAL_CHECKPOINT)
+        assert not (tmp_path / "b").exists()
+
+    def test_resume_refuses_seeds_of_no_one_seed(self, tmp_path):
+        ds = toy_dataset(40, 4, 5, seed=5)
+        train(toy_config(epochs=1, out_dir=tmp_path / "a"), ds, ds)
+        path = tmp_path / "a" / FINAL_CHECKPOINT
+        ckpt = load_checkpoint(path)
+        ckpt.dropout_seed = 9
+        save_checkpoint(path, ckpt)
+        with pytest.raises(ConsistencyError, match=r"seeds \(5, 6, 9\), not"):
+            train(toy_config(epochs=2, out_dir=tmp_path / "b"), ds, ds,
+                  resume_from=path)
+        assert not (tmp_path / "b").exists()
 
     def test_fresh_run_replaces_old_metrics(self, tmp_path):
         train_ds = toy_dataset(40, 4, 5, seed=5)
@@ -490,10 +531,14 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name", ["init_seed", "shuffle_seed",
                                       "dropout_seed"])
     def test_seeds_must_fit_a_checkpoint_u64(self, name):
-        assert getattr(toy_config(**{name: 2**64 - 1}), name) == 2**64 - 1
-        for bad in (-1, 2**64):
-            with pytest.raises(ConfigError, match=name):
-                toy_config(**{name: bad})
+        # each stream is seed + offset; the largest seed keeps all three
+        # in a u64, and one that pushes this stream past it is refused
+        offset = ["init_seed", "shuffle_seed", "dropout_seed"].index(name)
+        config = toy_config(seed=2**64 - 3)
+        assert getattr(config, name) == 2**64 - 3 + offset
+        for bad in (-1, 2**64 - offset):
+            with pytest.raises(ConfigError, match="seed must be in"):
+                toy_config(seed=bad)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["base_lr", "decay_factor",
