@@ -17,7 +17,9 @@ Layout (all integers little-endian):
     version 2 only, the best epoch so far so that a resumed run keeps it:
         i32 best epoch (0-based; -1 when none has been evaluated)
         u32 model count, then that many f64: every model's test accuracy
-            at the best epoch
+            at the best epoch. The count is 1 for a baseline (its base
+            model), the group count for a family (every model), or 0 when
+            the best is unknown.
     u32     config echo byte length, then UTF-8 bytes
 
 Round-trips are bitwise, version 1 files included: float payloads are
@@ -25,8 +27,9 @@ written from the arrays themselves and read with readinto() straight into
 the arrays the loaded checkpoint holds, so neither a save nor a load copies
 a parameter. Every length is checked against the bytes left in the file
 before anything is allocated for it, and an n or a bias length the groups
-do not agree with is a FormatError. A version 1 file loads with the best
-epoch unknown (-1, no accuracies).
+do not agree with is a FormatError, and so is a model count that is none
+of 0, 1 and the group count. A version 1 file loads with the best epoch
+unknown (-1, no accuracies).
 
 Files are written to a temporary file in the same directory and renamed
 over the target, so a crash mid-write leaves the previous file whole.
@@ -153,6 +156,9 @@ def load_checkpoint(path: Path) -> Checkpoint:
         best_epoch, best_accs = -1, []
         if version >= 2:
             best_epoch, count = r.unpack("<iI")
+            if count not in (0, 1, group_count):
+                raise FormatError(f"checkpoint records {count} models' "
+                                  f"accuracies but has {group_count} groups")
             best_accs = list(r.unpack(f"<{count}d"))
         try:
             echo = r.take(*r.unpack("<I")).decode("utf-8")

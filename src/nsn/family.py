@@ -16,11 +16,13 @@ is updated from the average of model g's input-layer gradient and model
 g+1's second-layer gradient (:func:`paired_average_gradients` forms one such
 average), and the base model's own input layer (group n) from its single
 gradient, unaveraged. This computes exactly the values that survive the
-per-minibatch copy from lesser to bigger models; ``verify.LiteralFamily``
-re-derives the same trajectory the long way as a cross-check.
+per-minibatch copy from lesser to bigger models, a copy that shared
+storage makes moot (:func:`copy_up`); ``verify.LiteralFamily`` re-derives
+the same trajectory the long way as a cross-check.
 
 A regularly trained baseline with n hidden layers is stored the same way,
-head first, and trains only through the base view, model n.
+head first, and trains only through the base view, model n. Both kinds of
+run draw their groups in ``train.init_family``.
 """
 
 from __future__ import annotations
@@ -29,11 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError
+from .errors import ConsistencyError
 from .nn import DenseLayer, LayerGrads
 
-DEFAULT_INPUT_DIM = 784
-DEFAULT_CLASSES = 10
 INIT_ROWS = 64  # rows of weights drawn at a time
 
 
@@ -82,44 +82,17 @@ def init_layer(out_dim: int, in_dim: int, rng: np.random.Generator) -> DenseLaye
     return DenseLayer(weight=weight, bias=np.zeros(out_dim, dtype=np.float32))
 
 
-def build_family(n: int, input_dim: int = DEFAULT_INPUT_DIM,
-                 classes: int = DEFAULT_CLASSES,
-                 init_seed: int = 0) -> ModelFamily:
-    """Allocate and initialize the n+1 canonical groups; group g draws from
-    the stream ``[init_seed, g]``."""
-    if n < 1:
-        raise ConfigError(f"family needs n >= 1 hidden layers, got {n}")
-    groups = []
-    for g in range(n + 1):
-        rng = np.random.default_rng([init_seed, g])
-        out_dim = classes if g == 0 else input_dim
-        groups.append(init_layer(out_dim, input_dim, rng))
-    return ModelFamily(groups)
-
-
 def param_count(family: ModelFamily, m: int) -> int:
     """Total weights plus biases of model m's view."""
     return sum(layer.weight.size + layer.bias.size for layer in family.view(m))
 
 
 def copy_up(family: ModelFamily) -> None:
-    """Enforce the lesser-to-bigger parameter copy across tied layers.
-
-    With shared storage every tied pair aliases one array, so this is a
-    consistency check rather than data movement. (The per-model-storage
-    double in ``verify`` implements the actual overwrite.)
-    """
-    for m in range(1, family.n + 1):
-        upper = family.view(m)
-        lower = family.view(m - 1)
-        for o, (lo, up) in enumerate(zip(lower, upper[1:])):
-            if lo.weight.shape != up.weight.shape:
-                raise ConsistencyError(
-                    f"tied layers differ in shape at model {m}, layer {o + 2}: "
-                    f"{up.weight.shape} vs {lo.weight.shape}")
-            if lo is not up:
-                up.weight[...] = lo.weight
-                up.bias[...] = lo.bias
+    """The per-step copy of parameters from each model to the next bigger
+    one. It moves nothing: ``view(m)[1:]`` is ``view(m - 1)``, element for
+    element, so each tied pair is one array. (``verify.LiteralFamily``,
+    which keeps a copy per model, makes the copy for real.) A family step
+    still calls it, because perfbench times it under this name."""
 
 
 def group_sources(n: int) -> list[list[tuple[int, int]]]:

@@ -9,13 +9,15 @@ gradients, pairwise gradient averaging into canonical groups, the
 EMA-style momentum update, and the parameter update. Reference runs train
 a single model with plain gradients, L2 on all weights, and standard
 momentum; that model is stored as a family whose base view is the only one
-trained. Both kinds of run share one step, :func:`train_step`, and one
-loop, :func:`train` (init or resume, evaluation, metrics, checkpoints);
-``config.mode`` alone chooses the three things in which they differ: the
-copy, the gradients that update each group (a family's pairs,
-:func:`family.group_sources`, or a baseline's own) and the momentum
-format. A step forms only the weight gradients its update reads: a
-family's model m never forms those of its layers 2..m.
+trained. Both kinds of run share one init, :func:`init_family`, one
+step, :func:`train_step`, and one loop, :func:`train` (init or resume,
+evaluation, metrics, checkpoints); ``config.mode`` alone chooses the
+things in which they differ: each group's init stream, the copy (which
+shared storage makes moot, :func:`family.copy_up`), the gradients that
+update each group (a family's pairs, :func:`family.group_sources`, or a
+baseline's own) and the momentum format. A step forms only the weight
+gradients its update reads: a family's model m never forms those of its
+layers 2..m.
 
 A step is a fixed list of tasks (:func:`step_tasks`, built once per run
 with the :class:`StepWorkspace`): each dropout mask of each model, each
@@ -40,9 +42,10 @@ other, on whichever threads. A step or an evaluation returns or raises
 only once both lanes are idle.
 
 A run has one seed, and its randomness is split by purpose and keyed by
-position: the init by (seed, layer), the batch order by (seed + 1, epoch),
-dropout by (seed + 2, epoch, step, model). Resuming from a checkpoint
-therefore reproduces the uninterrupted run bit for bit.
+position: the init by (seed, a family's group or a baseline's layer; see
+:func:`init_family`), the batch order by (seed + 1, epoch), dropout by
+(seed + 2, epoch, step, model). Resuming from a checkpoint therefore
+reproduces the uninterrupted run bit for bit.
 
 A run allocates every array its steps write once, in a
 :class:`StepWorkspace`, and updates momentum and parameters in place, so a
@@ -68,8 +71,8 @@ from .blas import one_blas_thread
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import (ConfigError, ConsistencyError, DivergenceError,
                      FormatError, ShapeError, check_ranges)
-from .family import (ModelFamily, build_family, copy_up, group_sources,
-                     init_layer, paired_average_gradients)
+from .family import (ModelFamily, copy_up, group_sources, init_layer,
+                     paired_average_gradients)
 from .mnist import Dataset, batches, load_data_dir
 # A step calls neither model_forward nor model_backward: it runs their
 # pieces as tasks. perfbench wraps both by name in nsn.train, so the names
@@ -487,10 +490,11 @@ def train_step(family: ModelFamily, momentum: Sequence[MomentumState],
 
     ``momentum`` is one state per group, head first. ``config.mode``
     chooses what a family's step does and a baseline's does not: a family
-    ("nsn") step first runs the lesser-to-bigger copy, and its finishes
-    update EMA momentum; a baseline's update standard momentum. A finish
-    averages the two gradients its task names (a family's pair) and passes
-    a single one through.
+    ("nsn") step first runs the lesser-to-bigger copy, which moves nothing
+    under shared storage, and its finishes update EMA momentum; a
+    baseline's update standard momentum. A finish averages the two
+    gradients its task names (a family's pair) and passes a single one
+    through.
 
     The step runs its tasks on the two lanes, into ``workspace`` (built
     when None, for the batch's rows). A "mask" task draws one dropout mask
@@ -693,18 +697,26 @@ def family_from_checkpoint(ckpt: Checkpoint) -> tuple[ModelFamily,
     return ModelFamily(ckpt.groups), ckpt.momentum
 
 
-def init_family(config: TrainConfig) -> ModelFamily:
-    """Fresh parameters for ``config.mode``. A baseline's input-first layer
-    i draws from [init_seed, i]; its layers are stored head first, as
-    groups n..0 of a family."""
-    if config.mode == "nsn":
-        return build_family(config.n_hidden, config.input_dim,
-                            config.classes, config.init_seed)
-    dims = config.model_spec(config.n_hidden).dims
-    layers = [init_layer(dims[i + 1], dims[i],
-                         np.random.default_rng([config.init_seed, i]))
-              for i in range(len(dims) - 1)]
-    return ModelFamily(layers[::-1])
+def init_family(config: TrainConfig) -> tuple[ModelFamily,
+                                               list[MomentumState]]:
+    """A fresh run's groups, head first, and their zero momentum; the only
+    place a run's parameters are drawn.
+
+    Group 0 is ``classes x input_dim`` and every other group is
+    ``input_dim`` square, in both kinds of run. Group g is drawn by
+    :func:`family.init_layer` from its own stream, and the mode picks only
+    that stream: a family's group g draws from [init_seed, g], a baseline's
+    from [init_seed, n - g], its layer's position in the base model, input
+    layer first.
+    """
+    n, width = config.n_hidden, config.input_dim
+    groups = []
+    for g in range(n + 1):
+        position = g if config.mode == "nsn" else n - g
+        rng = np.random.default_rng([config.init_seed, position])
+        groups.append(init_layer(width if g else config.classes, width, rng))
+    return (ModelFamily(groups),
+            [MomentumState.zeros_like(group) for group in groups])
 
 
 def echo_fields(echo: str) -> dict | None:
@@ -741,6 +753,7 @@ def train(config: TrainConfig, train_ds: Dataset | None = None,
     :func:`train_step`. Track the epoch with the best base-model test
     accuracy and snapshot every model's accuracy there.
 
+    The datasets are both given or both loaded from ``config.data_dir``.
     When resuming, the checkpoint's seed replaces the config's, every other
     field but the epochs and paths must match the checkpoint's config echo,
     its groups must have the shapes the config builds, the epochs may not
@@ -755,12 +768,15 @@ def train(config: TrainConfig, train_ds: Dataset | None = None,
     """
     if config.out_dir is None:
         raise ConfigError("no out_dir configured")
+    if (train_ds is None) != (test_ds is None):
+        missing = "train_ds" if train_ds is None else "test_ds"
+        raise ConfigError(f"{missing} is missing: give both datasets, or "
+                          f"neither to load them from data_dir")
     views = config.trained_views()
     n_models = len(views)
     start_epoch, best_epoch, best_accs = 0, -1, [0.0] * n_models
     if resume_from is None:
-        family = init_family(config)
-        momentum = [MomentumState.zeros_like(g) for g in family.groups]
+        family, momentum = init_family(config)
     else:
         ckpt = load_checkpoint(resume_from)
         if config.epochs < ckpt.epoch:
@@ -791,7 +807,7 @@ def train(config: TrainConfig, train_ds: Dataset | None = None,
             raise ConfigError(f"{resume_from} was trained with other values "
                               f"of {', '.join(changed)}")
     models = [family.view(m) for m in views]
-    if train_ds is None or test_ds is None:
+    if train_ds is None:
         if config.data_dir is None:
             raise ConfigError("no datasets given and no data_dir configured")
         train_ds, test_ds = load_data_dir(config.data_dir)

@@ -9,16 +9,16 @@ seeded and runs in seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .family import ModelFamily, build_family, detach, init_layer
+from .family import ModelFamily, detach, init_layer
 from .nn import (DenseLayer, ModelSpec, model_backward, model_forward,
                  numerical_gradient, spec_for_params)
 from .optim import (MomentumState, Schedule, apply_update, l2_gradient,
                     lr_at, momentum_nsn, momentum_standard)
-from .train import TrainConfig, _dropout_rng, train_step
+from .train import TrainConfig, _dropout_rng, init_family, train_step
 
 
 @dataclass
@@ -90,9 +90,7 @@ def _toy_batches(config: TrainConfig, steps: int, seed: int = 11):
 def check_tie_invariant(steps: int = 100) -> CheckResult:
     """Tied layers stay bitwise equal across views after random updates."""
     config = _toy_config()
-    family = build_family(config.n_hidden, config.input_dim, config.classes,
-                          init_seed=3)
-    momentum = [MomentumState.zeros_like(g) for g in family.groups]
+    family, momentum = init_family(replace(config, seed=3))
     for step, batch in enumerate(_toy_batches(config, steps)):
         train_step(family, momentum, batch, config, epoch=0, step=step)
         for m in range(1, family.n + 1):
@@ -108,7 +106,8 @@ def check_tie_invariant(steps: int = 100) -> CheckResult:
 
 def check_detach_exactness() -> CheckResult:
     """detach(family, k) forwards bitwise identically to view(n - k)."""
-    family = build_family(2, 8, 10, init_seed=5)
+    family, _ = init_family(replace(_toy_config(width=8, classes=10),
+                                    seed=5))
     x = np.random.default_rng(6).random((16, 8)).astype(np.float32)
     for k in range(family.n + 1):
         view = family.view(family.n - k)
@@ -215,9 +214,7 @@ def check_canonical_vs_literal(steps: int = 50,
                                tol: float = 1e-6) -> CheckResult:
     """Shared-storage trajectory equals the literal scheme's owner values."""
     config = _toy_config()
-    family = build_family(config.n_hidden, config.input_dim, config.classes,
-                          init_seed=13)
-    momentum = [MomentumState.zeros_like(g) for g in family.groups]
+    family, momentum = init_family(replace(config, seed=13))
     literal = LiteralFamily(family, config)
     worst = 0.0
     for step, batch in enumerate(_toy_batches(config, steps, seed=17)):

@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nsn.family import ModelFamily
 from nsn.mnist import (TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES, TRAIN_LABELS,
                        Dataset)
+from nsn.train import TrainConfig, init_family
 
 IDX_FILES = (TRAIN_IMAGES, TRAIN_LABELS, TEST_IMAGES, TEST_LABELS)
 
@@ -59,6 +61,15 @@ def toy_dataset(count: int, input_dim: int, classes: int,
         images[i, label % input_dim] += 0.8
     return Dataset(pixels=images.astype(np.float32),
                    labels=labels.astype(np.int64))
+
+
+def new_family(n: int, width: int = 784, classes: int = 10,
+               seed: int = 0) -> ModelFamily:
+    """The family a run of n hidden layers, ``width`` inputs and
+    ``classes`` classes starts from at ``seed``."""
+    return init_family(TrainConfig(n_hidden=n, input_dim=width,
+                                   classes=classes, seed=seed,
+                                   l2_lambda=0.0))[0]
 
 
 def array_bytes(records) -> list[bytes]:

@@ -66,10 +66,9 @@ def test_numpy_loaded_before_nsn_still_evaluates_on_one_thread():
     code = """
 import numpy as np
 from nsn.blas import _openblas
-from nsn.family import build_family
 from nsn.mnist import Dataset
 import nsn.train
-from nsn.train import evaluate
+from nsn.train import TrainConfig, evaluate, init_family
 
 found = _openblas()
 if found is None:
@@ -81,8 +80,9 @@ else:
     rng = np.random.default_rng(0)
     ds = Dataset(pixels=rng.integers(0, 256, (300, 8), np.uint8),
                  labels=rng.integers(0, 4, 300))
-    evaluate(build_family(1, input_dim=8, classes=4, init_seed=1).view(1),
-             ds)
+    family, _ = init_family(TrainConfig(n_hidden=1, input_dim=8, classes=4,
+                                        seed=1))
+    evaluate(family.view(1), ds)
     print(before, get())
 """
     out = python_output(code, **{name: "2" for name in names})

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import array_bytes, traced_peak
+from conftest import array_bytes, new_family, traced_peak
 from nsn.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from nsn.errors import FormatError, LengthError, NsnError
-from nsn.family import build_family
 from nsn.nn import DenseLayer
 from nsn.optim import MomentumState
 from nsn.train import family_from_checkpoint
@@ -63,6 +62,19 @@ class TestRoundTrip:
         save_checkpoint(p2, load_checkpoint(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_every_model_count_a_run_writes_loads_and_saves_back_bitwise(
+            self, tmp_path, count):
+        # 0: best unknown; 1: a baseline's base model; 3: every model of
+        # a family of 3 groups
+        p1, p2 = tmp_path / "a.nsn", tmp_path / "b.nsn"
+        ckpt = sample_checkpoint()
+        ckpt.best_accuracies = [0.25] * count
+        save_checkpoint(p1, ckpt)
+        assert load_checkpoint(p1).best_accuracies == [0.25] * count
+        save_checkpoint(p2, load_checkpoint(p1))
+        assert p2.read_bytes() == p1.read_bytes()
+
     def test_large_seeds_survive(self, tmp_path):
         ckpt = sample_checkpoint()
         ckpt.init_seed = 2**63 + 5
@@ -88,7 +100,7 @@ class TestVersion1:
 
 
 def nsn2_checkpoint() -> Checkpoint:
-    family = build_family(2)  # the benchmark's nsn2 shapes
+    family = new_family(2)  # the benchmark's nsn2 shapes
     return Checkpoint(
         groups=family.groups,
         momentum=[MomentumState.zeros_like(g) for g in family.groups],
@@ -184,6 +196,17 @@ class TestCorruption:
         save_checkpoint(path, sample_checkpoint())
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(LengthError, match="trailing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_a_model_count_of_neither_one_nor_the_group_count_is_format_error(
+            self, tmp_path, count):
+        path = tmp_path / "model.nsn"
+        ckpt = sample_checkpoint()  # 3 groups
+        ckpt.best_accuracies = [0.5] * count
+        save_checkpoint(path, ckpt)
+        with pytest.raises(FormatError, match=f"records {count} models' "
+                                              f"accuracies but has 3 groups"):
             load_checkpoint(path)
 
     def test_config_echo_that_is_not_utf8_is_format_error(self, tmp_path):

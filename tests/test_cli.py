@@ -215,6 +215,27 @@ class TestResume:
         assert ("shapes [(7, 784), (784, 784)], the config builds "
                 "[(10, 784), (784, 784)]") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("echo", ["{not json", "[1, 2]"],
+                             ids=["not-json", "not-an-object"])
+    def test_resume_from_an_unreadable_echo_is_usage_error(
+            self, tmp_path, capsys, echo):
+        data = write_idx_dir(tmp_path / "data")
+        assert self.train(data, tmp_path / "first", 1) == 0
+        ckpt = load_checkpoint(tmp_path / "first" / "checkpoint_final.nsn")
+        ckpt.config_echo = echo
+        altered = tmp_path / "altered.nsn"
+        save_checkpoint(altered, ckpt)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert self.train(data, out, 2, "--resume", str(altered)) == 2
+        assert "no readable config echo" in capsys.readouterr().err
+        assert not out.exists()
+        # eval reads no echo it cannot parse, and reports every model
+        assert main(["eval", "--checkpoint", str(altered),
+                     "--data-dir", str(data)]) == 0
+        stdout = capsys.readouterr().out
+        assert "model m0" in stdout and "model m1" in stdout
+
     def test_resume_onto_too_few_samples_for_a_batch_leaves_the_out_dir(
             self, tmp_path, capsys):
         data = write_idx_dir(tmp_path / "data")
@@ -356,6 +377,25 @@ class TestEvalCommands:
                      str(out / "checkpoint_final.nsn"),
                      "--data-dir", str(data), "--drop-layers", "2"])
         assert code == 2
+
+    def test_a_best_record_of_another_model_count_is_usage_error(
+            self, tmp_path, capsys):
+        data = write_idx_dir(tmp_path / "data", train_count=64,
+                             test_count=32)
+        out = tmp_path / "run"
+        assert main(["train", "--data-dir", str(data), "--out-dir", str(out),
+                     "--n-hidden", "2", "--epochs", "1",
+                     "--batch", "32"]) == 0
+        ckpt = load_checkpoint(out / "checkpoint_final.nsn")
+        ckpt.best_accuracies = ckpt.best_accuracies[1:]  # m1 and m2 only
+        altered = tmp_path / "altered.nsn"
+        save_checkpoint(altered, ckpt)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(altered),
+                     "--data-dir", str(data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "records 2 models' accuracies but has 3 groups" in captured.err
 
     def test_corrupt_checkpoint_is_usage_error(self, tmp_path, capsys):
         data = write_idx_dir(tmp_path / "data")

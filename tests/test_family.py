@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import traced_peak
-from nsn.errors import ConfigError, ConsistencyError
-from nsn.family import (INIT_ROWS, ModelFamily, build_family, copy_up,
-                        detach, group_sources, init_layer,
-                        paired_average_gradients, param_count)
+from conftest import new_family, traced_peak
+from nsn.errors import ConsistencyError
+from nsn.family import (INIT_ROWS, ModelFamily, copy_up, detach,
+                        group_sources, init_layer, paired_average_gradients,
+                        param_count)
 from nsn.nn import LayerGrads, model_forward, spec_for_params
+from nsn.train import TrainConfig, init_family
 from nsn.verify import LiteralFamily, _toy_config
 
 
@@ -17,8 +18,10 @@ def grads_of(value, shape=(1, 1)):
 
 
 class TestBuildFamily:
+    """The family a run starts from, as ``train.init_family`` builds it."""
+
     def test_standard_shapes_n2(self):
-        family = build_family(2)
+        family = new_family(2)
         assert [l.weight.shape for l in family.view(2)] == [
             (784, 784), (784, 784), (10, 784)]
         assert [l.weight.shape for l in family.view(1)] == [
@@ -26,21 +29,21 @@ class TestBuildFamily:
         assert [l.weight.shape for l in family.view(0)] == [(10, 784)]
 
     def test_smallest_family_shares_head(self):
-        family = build_family(1, input_dim=4, classes=10)
+        family = new_family(1, width=4, classes=10)
         assert family.view(1)[-1] is family.view(0)[0]
 
     def test_view_layer_counts(self):
-        family = build_family(3, input_dim=4)
+        family = new_family(3, width=4)
         for m in range(4):
             assert len(family.view(m)) == m + 1
 
     def test_removing_first_layer_yields_previous_view(self):
-        family = build_family(3, input_dim=4)
+        family = new_family(3, width=4)
         for m in range(1, 4):
             assert family.view(m)[1:] == family.view(m - 1)
 
     def test_ownership_covers_each_group_once_per_view(self):
-        family = build_family(3, input_dim=4)
+        family = new_family(3, width=4)
         assert len({id(g) for g in family.groups}) == 4
         for m in range(4):
             seen = [id(layer) for layer in family.view(m)]
@@ -48,16 +51,14 @@ class TestBuildFamily:
             assert seen == expected
 
     def test_init_is_seeded_and_bounded(self):
-        a = build_family(2, input_dim=8, init_seed=42)
-        b = build_family(2, input_dim=8, init_seed=42)
+        a = new_family(2, width=8, seed=42)
+        b = new_family(2, width=8, seed=42)
         for ga, gb in zip(a.groups, b.groups):
             assert np.array_equal(ga.weight, gb.weight)
             assert np.all(np.abs(ga.weight) <= 1 / np.sqrt(8))
             assert np.all(ga.bias == 0)
 
     def test_invalid_configs(self):
-        with pytest.raises(ConfigError):
-            build_family(0)
         head = init_layer(10, 784, np.random.default_rng())
         narrow = init_layer(512, 784, np.random.default_rng())
         with pytest.raises(ConsistencyError, match="tying"):
@@ -66,14 +67,14 @@ class TestBuildFamily:
             ModelFamily([])
 
     def test_model_index_out_of_range(self):
-        family = build_family(1, input_dim=4)
+        family = new_family(1, width=4)
         with pytest.raises(IndexError):
             family.view(2)
 
 
 class TestParamCount:
     def test_table_values(self):
-        family = build_family(2)
+        family = new_family(2)
         assert param_count(family, 0) == 7850
         assert param_count(family, 1) == 623290
         # 2*(784*784 + 784) + 784*10 + 10
@@ -81,21 +82,24 @@ class TestParamCount:
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            param_count(build_family(1, input_dim=4), 2)
+            param_count(new_family(1, width=4), 2)
 
 
 class TestCopyUp:
-    def test_shared_storage_is_checked_noop(self):
-        family = build_family(2, input_dim=4)
-        before = [g.weight.copy() for g in family.groups]
+    def test_the_copy_moves_nothing_under_shared_storage(self):
+        family = new_family(2, width=4)
+        before = [(g.weight.copy(), g.bias.copy()) for g in family.groups]
         copy_up(family)
-        copy_up(family)  # idempotent
-        for group, saved in zip(family.groups, before):
-            assert np.array_equal(group.weight, saved)
+        for m in range(1, family.n + 1):
+            assert all(up is lo for up, lo in zip(family.view(m)[1:],
+                                                  family.view(m - 1)))
+        for group, (weight, bias) in zip(family.groups, before):
+            assert group.weight.tobytes() == weight.tobytes()
+            assert group.bias.tobytes() == bias.tobytes()
 
     def test_literal_double_erases_perturbation(self):
         config = _toy_config(n=2, width=4, classes=3, dropout=False)
-        family = build_family(2, 4, 3, init_seed=1)
+        family = new_family(2, 4, 3, seed=1)
         literal = LiteralFamily(family, config)
         # perturb the biggest model's second layer; the lesser model's
         # first layer must win
@@ -106,7 +110,7 @@ class TestCopyUp:
 
     def test_literal_double_ties_all_views_after_copy(self):
         config = _toy_config(n=2, width=4, classes=3, dropout=False)
-        family = build_family(2, 4, 3, init_seed=2)
+        family = new_family(2, 4, 3, seed=2)
         literal = LiteralFamily(family, config)
         for model in literal.models:
             for layer in model:
@@ -129,7 +133,7 @@ class TestGroupSources:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_each_source_is_a_layer_that_multiplies_by_its_group(self, n):
-        family = build_family(n, input_dim=4)
+        family = new_family(n, width=4)
         for g, sources in enumerate(group_sources(n)):
             for m, layer in sources:
                 assert family.view(m)[layer] is family.groups[g]
@@ -188,11 +192,11 @@ class TestPairedAverageGradients:
 
 class TestDetach:
     def test_zero_drop_is_base_model(self):
-        family = build_family(2, input_dim=4)
+        family = new_family(2, width=4)
         assert detach(family, 0) == family.view(2)
 
     def test_drop_one_matches_next_view_bitwise(self):
-        family = build_family(2, input_dim=4, init_seed=3)
+        family = new_family(2, width=4, seed=3)
         x = np.random.default_rng(4).random((5, 4)).astype(np.float32)
         view = family.view(1)
         spec = spec_for_params(view)
@@ -201,12 +205,12 @@ class TestDetach:
         assert np.array_equal(got, want)
 
     def test_drop_all_is_softmax_regression(self):
-        family = build_family(2, input_dim=4)
+        family = new_family(2, width=4)
         assert detach(family, 2) == family.view(0)
         assert len(detach(family, 2)) == 1
 
     def test_drop_too_many_rejected(self):
-        family = build_family(2, input_dim=4)
+        family = new_family(2, width=4)
         with pytest.raises(IndexError):
             detach(family, 3)
 
@@ -229,16 +233,28 @@ class TestInitLayer:
             -bound, bound, size=(rows, cols)).astype(np.float32)
         assert layer.weight.tobytes() == want.tobytes()
 
-    def test_build_family_bytes_equal_the_whole_array_formula(self):
+    @pytest.mark.parametrize("mode, n", [("nsn", 1), ("nsn", 2),
+                                         ("reference", 0),
+                                         ("reference", 1),
+                                         ("reference", 2)])
+    def test_init_family_bytes_equal_the_whole_array_formula(self, mode, n):
+        # a family's group g draws from [seed, g]; a baseline's from
+        # [seed, n - g], its layer's position in the base model
         width, classes = 3 * INIT_ROWS + 5, 7
-        family = build_family(2, input_dim=width, classes=classes,
-                              init_seed=11)
+        family, momentum = init_family(TrainConfig(
+            mode=mode, n_hidden=n, input_dim=width, classes=classes,
+            seed=11, l2_lambda=0.0))
         bound = 1.0 / np.sqrt(width)
-        for g, group in enumerate(family.groups):
-            rng = np.random.default_rng([11, g])
+        assert len(family.groups) == len(momentum) == n + 1
+        for g, (group, state) in enumerate(zip(family.groups, momentum)):
+            stream = g if mode == "nsn" else n - g
+            rng = np.random.default_rng([11, stream])
             shape = (classes if g == 0 else width, width)
             want = rng.uniform(-bound, bound, size=shape).astype(np.float32)
             assert group.weight.tobytes() == want.tobytes()
+            assert not group.bias.any()
+            assert not state.v_weight.any() and not state.v_bias.any()
+            assert state.v_weight.shape == shape
 
     def test_a_784_square_layer_peaks_below_its_weight_plus_1mb(self):
         peak = traced_peak(lambda: init_layer(784, 784,

@@ -179,6 +179,14 @@ class TestByteBackedDataset:
             np.testing.assert_array_equal(labels, labels_want)
         assert "images" not in train.__dict__
 
+    @pytest.mark.parametrize("images, labels", [(3, 2), (2, 3), (0, 1)])
+    def test_images_and_labels_of_other_counts_are_a_config_error(
+            self, images, labels):
+        with pytest.raises(ConfigError, match=f"images/labels counts "
+                                              f"differ: {images} vs {labels}"):
+            mnist.Dataset(pixels=np.zeros((images, 4), np.float32),
+                          labels=np.zeros(labels, np.int64))
+
     def test_images_are_every_row_scaled_once(self, synth_data_dir):
         train, _ = mnist.load_data_dir(synth_data_dir)
         order = np.arange(train.count)[::-1]

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import new_family
 from nsn.errors import ConfigError, ConsistencyError, ShapeError
 from nsn import blas, nn
-from nsn.family import build_family
 
 
 def layer_of(weight, bias=None):
@@ -472,7 +472,7 @@ class TestFeatureMajorPasses:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_short_passes_against_a_row_major_chain(self, n):
-        view = build_family(3, init_seed=50).view(n)
+        view = new_family(3, seed=50).view(n)
         spec = nn.spec_for_params(view)
         x = np.random.default_rng(51).random((300, 784), dtype=np.float32)
         skylakex = runs_skylakex_kernels()
@@ -492,7 +492,7 @@ class TestFeatureMajorPasses:
                 assert logp.tobytes() == want.tobytes(), rows
 
     def test_buffers_used_for_fewer_rows_give_fresh_buffers_logits(self):
-        view = build_family(2, init_seed=52).view(2)
+        view = new_family(2, seed=52).view(2)
         spec = nn.spec_for_params(view)
         x = np.random.default_rng(53).random((300, 784), dtype=np.float32)
         bound = nn.FEATURE_MAJOR_ROWS
@@ -548,3 +548,63 @@ class TestNumericalGradient:
         with pytest.raises(ConfigError):
             nn.numerical_gradient(spec, params, np.zeros((1, 4)),
                                   np.array([0]))
+
+
+SPEC = nn.ModelSpec((4, 3, 2))
+OTHER_SPEC = nn.ModelSpec((4, 5, 2))
+
+
+def spec_layers():
+    return random_layers(SPEC.dims)
+
+
+def backward_into_other_buffers():
+    _, buffers = nn.model_forward(OTHER_SPEC, random_layers(OTHER_SPEC.dims),
+                                  np.zeros((2, 4), np.float32), "train")
+    nn.model_backward(SPEC, spec_layers(), buffers, np.zeros(2, np.int64))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: nn.DenseLayer(np.zeros(3, np.float32),
+                                       np.zeros(3, np.float32)),
+                 ShapeError, "weight must be 2-D", id="weight-not-2d"),
+    pytest.param(lambda: nn.DenseLayer(np.zeros((3, 4), np.float32),
+                                       np.zeros(4, np.float32)),
+                 ShapeError, "bias shape", id="bias-shape"),
+    pytest.param(lambda: nn.ModelSpec((4,)), ConfigError,
+                 "dims must be >= 2 positive widths", id="spec-one-dim"),
+    pytest.param(lambda: nn.ModelSpec((4, 0, 2)), ConfigError,
+                 "dims must be >= 2 positive widths", id="spec-zero-width"),
+    pytest.param(lambda: nn.ModelSpec((4, 2), input_keep=0.0), ConfigError,
+                 "input_keep must be in", id="spec-input-keep"),
+    pytest.param(lambda: nn.ModelSpec((4, 2), hidden_keep=1.5), ConfigError,
+                 "hidden_keep must be in", id="spec-hidden-keep"),
+    pytest.param(lambda: nn.ModelBuffers(SPEC, 2, "test"), ConfigError,
+                 "mode must be 'train' or 'eval'", id="buffers-mode"),
+    pytest.param(lambda: nn.nll_loss(np.zeros((2, 3)), np.zeros(3, np.int64)),
+                 ShapeError, "labels shape", id="nll-label-shape"),
+    pytest.param(lambda: nn.model_forward(
+        SPEC, random_layers((4, 5, 2)), np.zeros((2, 4), np.float32)),
+                 ConsistencyError, "spec expects", id="unexpected-weight"),
+    pytest.param(lambda: nn.model_forward(
+        SPEC, spec_layers(), np.zeros((2, 4), np.float32),
+        out=nn.ModelBuffers(OTHER_SPEC, 2, "eval")),
+                 ConsistencyError, "buffers are for", id="forward-other-spec"),
+    pytest.param(lambda: nn.model_forward(
+        SPEC, spec_layers(), np.zeros((2, 4), np.float32), "train",
+        out=nn.ModelBuffers(SPEC, 2, "eval")),
+                 ConsistencyError, "needs train-mode buffers",
+                 id="train-into-eval-buffers"),
+    pytest.param(lambda: nn.model_forward(
+        SPEC, spec_layers(), np.zeros((2, 4), np.float32), "test"),
+                 ConfigError, "mode must be 'train' or 'eval'",
+                 id="forward-mode"),
+    pytest.param(lambda: nn.model_forward(
+        SPEC, spec_layers(), np.zeros((2, 5), np.float32)),
+                 ShapeError, "does not match spec dims", id="input-width"),
+    pytest.param(backward_into_other_buffers, ConsistencyError,
+                 "buffers are for", id="backward-other-spec"),
+])
+def test_an_input_the_passes_do_not_fit_is_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

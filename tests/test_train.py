@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PAPER_L2, array_bytes, toy_dataset, traced_peak
+from conftest import (PAPER_L2, array_bytes, new_family, toy_dataset,
+                      traced_peak)
 from nsn.checkpoint import load_checkpoint, save_checkpoint
 from nsn.errors import (ConfigError, ConsistencyError, DivergenceError,
                         ShapeError)
-from nsn.family import ModelFamily, build_family
+from nsn.family import ModelFamily
 from nsn.mnist import Dataset, load_data_dir
 from nsn.nn import (DenseLayer, ModelBuffers, model_backward, model_forward,
                     spec_for_params)
@@ -39,13 +40,6 @@ def toy_config(**overrides):
                 input_dim=4, classes=5, seed=5)
     base.update(overrides)
     return TrainConfig(**base)
-
-
-def fresh_family(config):
-    family = build_family(config.n_hidden, config.input_dim, config.classes,
-                          config.init_seed)
-    momentum = [MomentumState.zeros_like(g) for g in family.groups]
-    return family, momentum
 
 
 def toy_batch(config, seed=0):
@@ -79,7 +73,7 @@ class TestTrainStepHandOracle:
             schedule=Schedule(base_lr=0.5, decay_every=100, alpha=0.0),
             l2_lambda=0.0, input_keep=1.0, hidden_keep=1.0,
             input_dim=2, classes=2)
-        family, momentum = fresh_family(config)
+        family, momentum = init_family(config)
         family.groups[0].weight = np.array(self.W0, np.float32)
         family.groups[0].bias = np.array(self.B0, np.float32)
         family.groups[1].weight = np.array(self.W1, np.float32)
@@ -104,7 +98,7 @@ class TestTrainStepHandOracle:
 class TestTrainStep:
     def test_ties_hold_after_any_step(self):
         config = toy_config()
-        family, momentum = fresh_family(config)
+        family, momentum = init_family(config)
         for step in range(5):
             train_step(family, momentum, toy_batch(config, step), config,
                        epoch=0, step=step)
@@ -116,7 +110,7 @@ class TestTrainStep:
         config = toy_config()
         results = []
         for _ in range(2):
-            family, momentum = fresh_family(config)
+            family, momentum = init_family(config)
             for step in range(10):
                 train_step(family, momentum, toy_batch(config, step),
                            config, epoch=0, step=step)
@@ -126,7 +120,7 @@ class TestTrainStep:
 
     def test_losses_are_per_model_and_finite(self):
         config = toy_config()
-        family, momentum = fresh_family(config)
+        family, momentum = init_family(config)
         losses = train_step(family, momentum, toy_batch(config), config,
                             epoch=0, step=0)
         assert len(losses) == config.n_hidden + 1
@@ -142,8 +136,8 @@ class TestTrainStep:
                                         alpha=0.0))
         cfg_l2 = toy_config(l2_lambda=lam, **common)
         cfg_plain = toy_config(l2_lambda=0.0, **common)
-        fam_l2, mom_l2 = fresh_family(cfg_l2)
-        fam_plain, mom_plain = fresh_family(cfg_plain)
+        fam_l2, mom_l2 = init_family(cfg_l2)
+        fam_plain, mom_plain = init_family(cfg_plain)
         before = [g.weight.copy() for g in fam_l2.groups]
         batch = toy_batch(cfg_l2)
         train_step(fam_l2, mom_l2, batch, cfg_l2, 0, 0)
@@ -186,8 +180,7 @@ class TestReferenceStep:
         batches = [toy_batch(config, seed) for seed in range(5)]
         x, labels = batches[-1]
         batches[-1] = (x[:3], labels[:3])  # a short last batch
-        family = init_family(config)
-        momentum = [MomentumState.zeros_like(g) for g in family.groups]
+        family, momentum = init_family(config)
         layers = [DenseLayer(layer.weight.copy(), layer.bias.copy())
                   for layer in family.view(family.n)]
         literal_momentum = [MomentumState.zeros_like(layer)
@@ -237,11 +230,9 @@ class TestReferenceStep:
                                         alpha=0.0))
         cfg_l2 = toy_config(l2_lambda=lam, **common)
         cfg_plain = toy_config(l2_lambda=0.0, **common)
-        fam_l2, fam_plain = init_family(cfg_l2), init_family(cfg_plain)
+        fam_l2, mom_l2 = init_family(cfg_l2)
+        fam_plain, mom_plain = init_family(cfg_plain)
         before = [g.weight.copy() for g in fam_l2.groups]
-        mom_l2 = [MomentumState.zeros_like(g) for g in fam_l2.groups]
-        mom_plain = [MomentumState.zeros_like(g)
-                     for g in fam_plain.groups]
         batch = toy_batch(cfg_l2, seed=22)
         reference_step(fam_l2, mom_l2, batch, cfg_l2, 0, 0)
         reference_step(fam_plain, mom_plain, batch, cfg_plain, 0, 0)
@@ -264,8 +255,7 @@ class TestEvaluate:
 
     def test_random_model_near_chance(self):
         rng = np.random.default_rng(23)
-        family = build_family(1, input_dim=8, classes=10,
-                              init_seed=24)
+        family = new_family(1, width=8, classes=10, seed=24)
         labels = np.arange(5000) % 10  # balanced
         images = rng.random((5000, 8)).astype(np.float32)
         ds = Dataset(pixels=images, labels=labels.astype(np.int64))
@@ -274,8 +264,7 @@ class TestEvaluate:
 
     def test_detached_view_scores_identically(self):
         from nsn.family import detach
-        family = build_family(2, input_dim=6, classes=4,
-                              init_seed=25)
+        family = new_family(2, width=6, classes=4, seed=25)
         ds = toy_dataset(200, 6, 4, seed=26)
         assert (evaluate(detach(family, 1), ds)
                 == evaluate(family.view(1), ds))
@@ -286,7 +275,7 @@ class TestEvaluate:
             raise AssertionError("a lane started")
 
         monkeypatch.setattr(train_module, "_run_tasks", no_lanes)
-        view = build_family(1, input_dim=4, classes=3, init_seed=1).view(1)
+        view = new_family(1, width=4, classes=3, seed=1).view(1)
         empty = Dataset(pixels=np.zeros((0, 4), np.float32),
                         labels=np.zeros(0, np.int64))
         with pytest.raises(ConfigError, match="empty set"):
@@ -603,8 +592,7 @@ class TestRunKind:
         for name in self.FAMILY_ONLY:
             monkeypatch.setattr(train_module, name, counting(name))
         config = toy_config(mode=mode, n_hidden=n_hidden)
-        family = init_family(config)
-        momentum = [MomentumState.zeros_like(g) for g in family.groups]
+        family, momentum = init_family(config)
         train_step(family, momentum, toy_batch(config), config, 0, 0)
         if mode == "nsn":
             assert all(count > 0 for count in calls.values()), calls
@@ -635,6 +623,24 @@ class TestDatasetChecks:
             train(config, sets["train"], sets["test"])
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("out, data, given, message", [
+        (False, True, ("train", "test"), "no out_dir configured"),
+        (True, False, (), "no datasets given and no data_dir configured"),
+        (True, True, ("test",), "^train_ds is missing"),
+        (True, True, ("train",), "^test_ds is missing")],
+        ids=["no-out-dir", "no-data", "test-set-alone", "training-set-alone"])
+    def test_a_run_missing_its_out_dir_or_a_set_is_a_config_error(
+            self, synth_data_dir, tmp_path, out, data, given, message):
+        # a set given alone is not dropped for the data_dir's
+        config = toy_config(out_dir=tmp_path / "run" if out else None,
+                            data_dir=synth_data_dir if data else None)
+        sets = {f"{name}_ds": toy_dataset(16, config.input_dim,
+                                          config.classes)
+                for name in given}
+        with pytest.raises(ConfigError, match=message):
+            train(config, **sets)
+        assert not (tmp_path / "run").exists()
+
 
 class TestByteBackedData:
     def test_training_never_scales_the_training_set_whole(
@@ -653,7 +659,7 @@ class TestByteBackedData:
         scaled = Dataset(
             pixels=test_ds.pixels.astype(np.float32) / np.float32(255.0),
             labels=test_ds.labels)
-        family = build_family(2, input_dim=784, classes=10, init_seed=3)
+        family = new_family(2, seed=3)
         for view in family.views():
             assert evaluate(view, test_ds) == evaluate(view, scaled)
 
@@ -681,7 +687,7 @@ class TestStepWorkspace:
     def test_a_warmed_up_step_allocates_less_than_one_activation(self,
                                                                   mode):
         config = TrainConfig(mode=mode, n_hidden=2, batch_size=128)
-        family = build_family(2, init_seed=1)
+        family = new_family(2, seed=1)
         step = step_of(mode, family, config)
         workspace = StepWorkspace(config, config.batch_size)
         rng = np.random.default_rng(2)
@@ -702,7 +708,7 @@ class TestStepWorkspace:
             batches[-1] = (x[:3], labels[:3])  # a short last batch
             finals = []
             for shared in (True, False):
-                family = init_family(config)
+                family, _ = init_family(config)
                 step = step_of(mode, family, config)
                 workspace = (StepWorkspace(config, config.batch_size)
                              if shared else None)
@@ -734,8 +740,7 @@ class TestStepWorkspace:
     @pytest.mark.parametrize("mode", ["nsn", "reference"])
     def test_a_batch_that_does_not_fit_is_a_shape_error(self, mode):
         config = toy_config(mode=mode)
-        family = init_family(config)
-        momentum = [MomentumState.zeros_like(g) for g in family.groups]
+        family, momentum = init_family(config)
         workspace = StepWorkspace(config, config.batch_size)
         step_fn = train_step if mode == "nsn" else reference_step
         x, labels = toy_batch(replace(config, batch_size=9))
@@ -751,7 +756,7 @@ class TestStepWorkspace:
         count = 1024
         ds = Dataset(pixels=rng.integers(0, 256, (count, 784), np.uint8),
                      labels=rng.integers(0, 10, count))
-        view = build_family(2, init_seed=4).view(2)
+        view = new_family(2, seed=4).view(2)
         want = evaluate(view, Dataset(pixels=ds.rows(slice(None)),
                                       labels=ds.labels))
         peak = traced_peak(lambda: evaluate(view, ds))
@@ -798,8 +803,7 @@ def step_state(family, momentum):
 def run_steps(mode, config, batches):
     """The losses of each step of ``mode`` over ``batches`` from a fresh
     init, and the bytes of the parameters and momentum after the last."""
-    family = init_family(config)
-    momentum = [MomentumState.zeros_like(g) for g in family.groups]
+    family, momentum = init_family(config)
     workspace = StepWorkspace(config, config.batch_size)
     step_fn = train_step if mode == "nsn" else reference_step
     losses = [step_fn(family, momentum, batch, config, 0, i, workspace)
@@ -819,8 +823,7 @@ class TestLanes:
         for the helper to start a square-GEMM task; one is always ready
         beside it, the same layer's weight gradient."""
         config = toy_config(mode=mode, n_hidden=2)
-        family = init_family(config)
-        momentum = [MomentumState.zeros_like(g) for g in family.groups]
+        family, momentum = init_family(config)
         caller = threading.get_ident()
         helper_started = threading.Event()
         ran = []
@@ -908,7 +911,7 @@ class TestLanes:
     def test_a_nan_in_the_head_raises_model_0s_divergence_after_both_lanes(
             self, monkeypatch):
         config = toy_config(n_hidden=2)
-        family, momentum = fresh_family(config)
+        family, momentum = init_family(config)
         train_step(family, momentum, toy_batch(config), config, 0, 0)
         family.groups[0].weight[0, 0] = np.nan
         workspace = StepWorkspace(config, config.batch_size)
@@ -943,7 +946,7 @@ class TestLanes:
     def test_an_error_in_the_helper_lane_is_raised_by_the_step(
             self, monkeypatch):
         config = toy_config(n_hidden=2)
-        family, momentum = fresh_family(config)
+        family, momentum = init_family(config)
         caller = threading.get_ident()
         caller_started = threading.Event()
         caller_done = []
@@ -974,7 +977,7 @@ class TestLanes:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_runs_a_step(self):
         config = toy_config(n_hidden=2)
-        family, momentum = fresh_family(config)
+        family, momentum = init_family(config)
         train_step(family, momentum, toy_batch(config), config, 0, 0)
         assert exit_code_in_forked_child(
             lambda: train_step(family, momentum, toy_batch(config, 1),
@@ -1058,8 +1061,7 @@ class TestStepTasks:
                                                ("reference", 2)])
     def test_masks_are_one_forward_passes_draws(self, mode, n_hidden):
         config = toy_config(mode=mode, n_hidden=n_hidden)
-        family = init_family(config)
-        momentum = [MomentumState.zeros_like(g) for g in family.groups]
+        family, momentum = init_family(config)
         workspace = StepWorkspace(config, config.batch_size)
         step_fn = train_step if mode == "nsn" else reference_step
         x, labels = toy_batch(config, 3)
@@ -1117,8 +1119,7 @@ class TestStepTasks:
         config = toy_config(n_hidden=4)
         batches = [toy_batch(config, seed) for seed in range(3)]
         want = run_steps("nsn", config, batches)
-        family = init_family(config)
-        momentum = [MomentumState.zeros_like(g) for g in family.groups]
+        family, momentum = init_family(config)
         workspace = StepWorkspace(config, config.batch_size)
         unread = [a for buffers in workspace.models
                   for grads in buffers.grads[2:]
@@ -1323,7 +1324,7 @@ def eval_case(count, kind):
     if kind == "float":
         pixels = pixels.astype(np.float32) / np.float32(255.0)
     ds = Dataset(pixels=pixels, labels=rng.integers(0, 5, count))
-    return build_family(2, input_dim=12, classes=5, init_seed=31).view(2), ds
+    return new_family(2, width=12, classes=5, seed=31).view(2), ds
 
 
 def accuracy_chunk_by_chunk(view, ds, rows):
@@ -1484,7 +1485,7 @@ class TestEvaluateLanes:
         count = 5 * EVAL_BATCH + 100
         ds = Dataset(pixels=rng.integers(0, 256, (count, 784), np.uint8),
                      labels=rng.integers(0, 10, count))
-        view = build_family(2, init_seed=6).view(2)
+        view = new_family(2, seed=6).view(2)
         one_set = ModelBuffers(spec_for_params(view), 2048, "eval")
         held = (sum(a.nbytes for a in (*one_set.pre_acts, one_set.logp))
                 + 2048 * 784 * 4)  # and its scaled rows

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import nsn.nn
+import nsn.train
 from nsn import verify
 from nsn.cli import main
-from nsn.family import build_family
-from nsn.optim import MomentumState
-from nsn.train import train_step
+from nsn.nn import DenseLayer
+from nsn.train import init_family, train_step
 
 
 class TestChecks:
@@ -29,6 +31,28 @@ class TestChecks:
         assert result.name == "gradcheck"
         assert not result.passed
 
+    def test_unpaired_gradients_are_caught_by_the_literal_scheme(
+            self, monkeypatch):
+        # each group updated from its own model's gradient alone, not the
+        # pair's average
+        monkeypatch.setattr(nsn.train, "group_sources",
+                            lambda n: [[(g, 0)] for g in range(n + 1)])
+        result = verify.check_canonical_vs_literal()
+        assert result.name == "canonical-vs-literal"
+        assert not result.passed
+        assert result.detail.startswith("diverged at step 0: ")
+
+    def test_a_detach_that_moves_the_biases_is_caught(self, monkeypatch):
+        def shifted(family, k):
+            return [DenseLayer(layer.weight, layer.bias + np.float32(1e-3))
+                    for layer in family.view(family.n - k)]
+
+        monkeypatch.setattr(verify, "detach", shifted)
+        result = verify.check_detach_exactness()
+        assert result.name == "detach-exactness"
+        assert not result.passed
+        assert result.detail == "logits differ at k=0"
+
     def test_max_relative_error_metric(self):
         from nsn.nn import LayerGrads
         a = [LayerGrads(np.array([[1.0]]), np.array([2.0]))]
@@ -44,9 +68,7 @@ class TestCanonicalVsLiteralAtEveryDepth:
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_step_matches_the_literal_owner_values(self, n):
         config = verify._toy_config(n=n)
-        family = build_family(n, config.input_dim, config.classes,
-                              init_seed=13)
-        momentum = [MomentumState.zeros_like(g) for g in family.groups]
+        family, momentum = init_family(replace(config, seed=13))
         literal = verify.LiteralFamily(family, config)
         batches = verify._toy_batches(config, 20, seed=17)
         for step, batch in enumerate(batches):
