@@ -13,7 +13,9 @@ Layout (all integers little-endian):
         rows*cols f32   momentum V for the weight
         u32 length (rows), then that many f32   momentum V for the bias
     u32     epoch (completed epochs)
-    u64 x3  init, shuffle, dropout seeds
+    u64 x3  seed, seed + 1, seed + 2: the init, shuffle and dropout
+            streams of the run's one seed (any other triple is a
+            FormatError; only an API run of an older version could write one)
     version 2 only, the best epoch so far so that a resumed run keeps it:
         i32 best epoch (0-based; -1 when none has been evaluated)
         u32 model count, then that many f64: every model's test accuracy
@@ -29,7 +31,9 @@ a parameter. Every length is checked against the bytes left in the file
 before anything is allocated for it, and an n or a bias length the groups
 do not agree with is a FormatError, and so is a model count that is none
 of 0, 1 and the group count. A version 1 file loads with the best epoch
-unknown (-1, no accuracies).
+unknown (-1, no accuracies). Whether the groups and best record are the
+ones the config echo's run writes is checked by
+``train.family_from_checkpoint``, which every reader calls.
 
 Files are written to a temporary file in the same directory and renamed
 over the target, so a crash mid-write leaves the previous file whole.
@@ -58,9 +62,7 @@ class Checkpoint:
     groups: list[DenseLayer]  # head (group 0) first
     momentum: list[MomentumState]  # one per group
     epoch: int
-    init_seed: int
-    shuffle_seed: int
-    dropout_seed: int
+    seed: int  # the run's; its three streams are seed, seed + 1, seed + 2
     config_echo: str
     best_epoch: int = -1
     best_accuracies: list = field(default_factory=list)  # one per model
@@ -82,8 +84,8 @@ def save_checkpoint(path: Path, ckpt: Checkpoint) -> None:
                     if a.ndim == 1:
                         fh.write(struct.pack("<I", a.shape[0]))
                     fh.write(np.ascontiguousarray(a, "<f4"))
-            fh.write(struct.pack("<IQQQ", ckpt.epoch, ckpt.init_seed,
-                                 ckpt.shuffle_seed, ckpt.dropout_seed))
+            fh.write(struct.pack("<IQQQ", ckpt.epoch, ckpt.seed,
+                                 ckpt.seed + 1, ckpt.seed + 2))
             if ckpt.version >= 2:
                 accs = ckpt.best_accuracies
                 fh.write(struct.pack(f"<iI{len(accs)}d", ckpt.best_epoch,
@@ -153,6 +155,9 @@ def load_checkpoint(path: Path) -> Checkpoint:
             groups.append(DenseLayer(weight, bias))
             momentum.append(MomentumState(v_weight, v_bias))
         epoch, *seeds = r.unpack("<IQQQ")
+        if seeds != list(range(seeds[0], seeds[0] + 3)):
+            raise FormatError(f"checkpoint has the seeds {tuple(seeds)}, not "
+                              f"a run's seed, seed + 1 and seed + 2")
         best_epoch, best_accs = -1, []
         if version >= 2:
             best_epoch, count = r.unpack("<iI")
@@ -168,7 +173,6 @@ def load_checkpoint(path: Path) -> Checkpoint:
             raise LengthError(f"checkpoint has {r.size - r.pos} "
                               f"trailing bytes")
     return Checkpoint(groups=groups, momentum=momentum, epoch=epoch,
-                      init_seed=seeds[0], shuffle_seed=seeds[1],
-                      dropout_seed=seeds[2], config_echo=echo,
+                      seed=seeds[0], config_echo=echo,
                       best_epoch=best_epoch, best_accuracies=best_accs,
                       version=version)

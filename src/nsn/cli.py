@@ -21,12 +21,12 @@ from dataclasses import fields
 from pathlib import Path
 
 from .checkpoint import load_checkpoint
-from .errors import ConfigError, DivergenceError, FormatError, NsnError
+from .errors import ConfigError, DivergenceError, NsnError
 from .family import detach, param_count
 from .mnist import TEST_IMAGES, TEST_LABELS, load_dataset
 from .optim import Schedule
-from .train import (TrainConfig, echo_fields, evaluate,
-                    family_from_checkpoint, train, train_reference)
+from .train import (TrainConfig, evaluate, family_from_checkpoint, train,
+                    train_reference)
 from .verify import check_gradcheck, run_all
 
 # Per training command: its run mode and its help.
@@ -189,16 +189,10 @@ def _load_trained(path: Path):
     """(family, the indices of the views its run trained) from a checkpoint.
 
     The last views are the models the run trained: all of a family's, a
-    baseline's base view. A version 1 file does not say; [-0:] is all. A
-    head whose rows are not the classes the config echo names is a
-    :class:`FormatError`.
+    baseline's base view. A version 1 file does not say; [-0:] is all.
     """
     ckpt = load_checkpoint(path)
     family, _ = family_from_checkpoint(ckpt)
-    classes = (echo_fields(ckpt.config_echo) or {}).get("classes")
-    if classes is not None and classes != family.classes:
-        raise FormatError(f"{path} has a head of {family.classes} rows, "
-                          f"its config echo names {classes} classes")
     return family, range(family.n + 1)[-len(ckpt.best_accuracies):]
 
 

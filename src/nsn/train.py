@@ -693,8 +693,30 @@ def _write_best(out_dir: Path, best_epoch: int,
 def family_from_checkpoint(ckpt: Checkpoint) -> tuple[ModelFamily,
                                                       list[MomentumState]]:
     """The family, or a baseline stored as one, and its momentum state,
-    sharing the checkpoint's arrays."""
-    return ModelFamily(ckpt.groups), ckpt.momentum
+    sharing the checkpoint's arrays; every reader of a checkpoint gets them
+    here.
+
+    A checkpoint whose groups or best record are not those its config
+    echo's run writes is a :class:`FormatError`: the group count less one
+    is ``n_hidden``, the head's rows ``classes``, the width ``input_dim``,
+    and a best record of one model is a ``"reference"`` run's, of every
+    model an ``"nsn"`` run's (none: the best is unknown). An echo that is
+    not a JSON object is left to the reader; a key it lacks is not
+    checked. A reader then need only compare its own config with the
+    echo.
+    """
+    family = ModelFamily(ckpt.groups)
+    held = {"n_hidden": family.n, "classes": family.classes,
+            "input_dim": family.input_dim}
+    if ckpt.best_accuracies:
+        held["mode"] = "reference" if len(ckpt.best_accuracies) == 1 else "nsn"
+    stored = echo_fields(ckpt.config_echo) or {}
+    wrong = [f"{k} ({v!r} vs {stored[k]!r})" for k, v in held.items()
+             if stored.get(k, v) != v]
+    if wrong:
+        raise FormatError(f"checkpoint groups and best record disagree with "
+                          f"its config echo on {', '.join(wrong)}")
+    return family, ckpt.momentum
 
 
 def init_family(config: TrainConfig) -> tuple[ModelFamily,
@@ -754,11 +776,14 @@ def train(config: TrainConfig, train_ds: Dataset | None = None,
     accuracy and snapshot every model's accuracy there.
 
     The datasets are both given or both loaded from ``config.data_dir``.
-    When resuming, the checkpoint's seed replaces the config's, every other
-    field but the epochs and paths must match the checkpoint's config echo,
-    its groups must have the shapes the config builds, the epochs may not
-    be fewer than the checkpoint's, and its best epoch is carried on, so
-    the run continues exactly as the uninterrupted one, files included.
+    When resuming, the checkpoint must match its own config echo
+    (:func:`family_from_checkpoint`), every field of the config but the
+    epochs, the paths and the seed must match that echo, the epochs may
+    not be fewer than the checkpoint's, and the checkpoint's seed and best
+    epoch are carried on, so the run continues exactly as the
+    uninterrupted one, files included. A run whose best is unknown, a
+    fresh one or one resumed from a version 1 file, takes its first
+    evaluated epoch as the best.
     Every check runs before the out dir is made, and all but those of the
     datasets before a data file is opened: each set needs a row, rows of
     ``input_dim`` columns and labels in [0, ``classes``), and the training
@@ -783,29 +808,15 @@ def train(config: TrainConfig, train_ds: Dataset | None = None,
             raise ConfigError(f"{resume_from} is at epoch {ckpt.epoch}; "
                               f"a run of {config.epochs} epochs cannot "
                               f"resume from it")
-        shapes = [group.weight.shape for group in ckpt.groups]
-        built = ([(config.classes, config.input_dim)]
-                 + [(config.input_dim, config.input_dim)] * config.n_hidden)
-        if shapes != built:  # n_hidden = the group count - 1
-            raise ConsistencyError(f"checkpoint groups have shapes {shapes}, "
-                                   f"the config builds {built}")
-        seeds = (ckpt.init_seed, ckpt.shuffle_seed, ckpt.dropout_seed)
-        if seeds != tuple(range(seeds[0], seeds[0] + 3)):
-            raise ConsistencyError(f"{resume_from} has the seeds {seeds}, "
-                                   f"not a run's seed, seed + 1 and seed + 2")
-        config = replace(config, seed=ckpt.init_seed)
         family, momentum = family_from_checkpoint(ckpt)
-        start_epoch = ckpt.epoch
-        if ckpt.best_accuracies:  # a version 1 file leaves the best unknown
-            if len(ckpt.best_accuracies) != n_models:
-                raise ConsistencyError(
-                    f"checkpoint tracks {len(ckpt.best_accuracies)} models, "
-                    f"a {config.mode} run trains {n_models}")
-            best_epoch, best_accs = ckpt.best_epoch, ckpt.best_accuracies
         changed = _changed_fields(config, ckpt.config_echo)
         if changed:
             raise ConfigError(f"{resume_from} was trained with other values "
                               f"of {', '.join(changed)}")
+        config = replace(config, seed=ckpt.seed)
+        start_epoch = ckpt.epoch
+        if ckpt.best_accuracies:  # a version 1 file leaves the best unknown
+            best_epoch, best_accs = ckpt.best_epoch, ckpt.best_accuracies
     models = [family.view(m) for m in views]
     if train_ds is None:
         if config.data_dir is None:
@@ -837,10 +848,8 @@ def train(config: TrainConfig, train_ds: Dataset | None = None,
     def checkpoint_at(epoch_done: int, name: str) -> Path:
         path = out_dir / name
         save_checkpoint(path, Checkpoint(
-            groups=family.groups, momentum=momentum,
-            epoch=epoch_done, init_seed=config.init_seed,
-            shuffle_seed=config.shuffle_seed,
-            dropout_seed=config.dropout_seed, config_echo=config.echo(),
+            groups=family.groups, momentum=momentum, epoch=epoch_done,
+            seed=config.seed, config_echo=config.echo(),
             best_epoch=best_epoch, best_accuracies=best_accs))
         return path
 
@@ -867,7 +876,7 @@ def train(config: TrainConfig, train_ds: Dataset | None = None,
                                    accuracies=accs)
             history.append(record)
             writer.write(record)
-            if accs[-1] > best_accs[-1]:
+            if best_epoch < 0 or accs[-1] > best_accs[-1]:
                 best_epoch, best_accs = epoch, accs
                 _write_best(out_dir, best_epoch, best_accs)
                 checkpoint_at(epoch + 1, BEST_CHECKPOINT)

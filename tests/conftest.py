@@ -12,9 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nsn.checkpoint import Checkpoint, load_checkpoint
 from nsn.family import ModelFamily
 from nsn.mnist import (TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES, TRAIN_LABELS,
                        Dataset)
+from nsn.nn import DenseLayer
+from nsn.optim import MomentumState
 from nsn.train import TrainConfig, init_family
 
 IDX_FILES = (TRAIN_IMAGES, TRAIN_LABELS, TEST_IMAGES, TEST_LABELS)
@@ -70,6 +73,48 @@ def new_family(n: int, width: int = 784, classes: int = 10,
     return init_family(TrainConfig(n_hidden=n, input_dim=width,
                                    classes=classes, seed=seed,
                                    l2_lambda=0.0))[0]
+
+
+ECHOED_FIELDS = ["n_hidden", "classes", "input_dim", "mode"]
+
+
+def disagree_with_echo(ckpt: Checkpoint, field: str) -> None:
+    """Alter the groups or best record of a checkpoint a run wrote, in
+    place, so that they disagree with its config echo on ``field`` (one of
+    ``ECHOED_FIELDS``) alone: one more square group, whose model's
+    accuracy a family's best record repeats; a head of one row fewer;
+    groups one column (and the square ones one row) narrower; or a
+    family's best record cut to a baseline's one model, or a baseline's
+    grown to every model's."""
+    groups, momentum, accs = ckpt.groups, ckpt.momentum, ckpt.best_accuracies
+    if field == "n_hidden":
+        last = groups[-1]
+        groups.append(DenseLayer(last.weight.copy(), last.bias.copy()))
+        momentum.append(MomentumState.zeros_like(last))
+        if len(accs) > 1:  # a family's record: every model's
+            accs.append(accs[-1])
+    elif field == "classes":
+        head, state = groups[0], momentum[0]
+        groups[0] = DenseLayer(head.weight[:-1], head.bias[:-1])
+        momentum[0] = MomentumState(state.v_weight[:-1], state.v_bias[:-1])
+    elif field == "input_dim":
+        for g, (layer, state) in enumerate(zip(groups, momentum)):
+            rows = slice(None) if g == 0 else slice(-1)
+            groups[g] = DenseLayer(layer.weight[rows, :-1], layer.bias[rows])
+            momentum[g] = MomentumState(state.v_weight[rows, :-1],
+                                        state.v_bias[rows])
+    else:
+        ckpt.best_accuracies = (accs[-1:] if len(accs) > 1
+                                else accs * len(groups))
+
+
+def rewrite_seeds(path: Path, seeds: tuple[int, int, int]) -> None:
+    """Overwrite the three u64 seeds of the checkpoint file at ``path``,
+    as only an API run of an older version could write them."""
+    data = path.read_bytes()
+    seed = load_checkpoint(path).seed
+    at = data.rindex(struct.pack("<QQQ", seed, seed + 1, seed + 2))
+    path.write_bytes(data[:at] + struct.pack("<QQQ", *seeds) + data[at + 24:])
 
 
 def array_bytes(records) -> list[bytes]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import array_bytes, new_family, traced_peak
+from conftest import array_bytes, new_family, rewrite_seeds, traced_peak
 from nsn.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from nsn.errors import FormatError, LengthError, NsnError
 from nsn.nn import DenseLayer
@@ -23,7 +23,7 @@ def sample_checkpoint(seed=0):
         groups.append(DenseLayer(*arrays[:2]))
         momentum.append(MomentumState(*arrays[2:]))
     return Checkpoint(groups=groups, momentum=momentum, epoch=17,
-                      init_seed=1, shuffle_seed=2, dropout_seed=3,
+                      seed=1,
                       config_echo='{"n_hidden": 2}', best_epoch=12,
                       best_accuracies=[0.9, 1 / 3, 0.97])
 
@@ -47,8 +47,8 @@ class TestRoundTrip:
         loaded = load_checkpoint(path)
         assert len(loaded.groups) == len(original.groups)
         assert loaded.epoch == original.epoch
-        assert (loaded.init_seed, loaded.shuffle_seed,
-                loaded.dropout_seed) == (1, 2, 3)
+        assert loaded.seed == 1
+        assert struct.pack("<QQQ", 1, 2, 3) in path.read_bytes()
         assert loaded.config_echo == original.config_echo
         assert loaded.best_epoch == 12
         assert loaded.best_accuracies == [0.9, 1 / 3, 0.97]
@@ -77,10 +77,22 @@ class TestRoundTrip:
 
     def test_large_seeds_survive(self, tmp_path):
         ckpt = sample_checkpoint()
-        ckpt.init_seed = 2**63 + 5
+        ckpt.seed = 2**63 + 5
         path = tmp_path / "model.nsn"
         save_checkpoint(path, ckpt)
-        assert load_checkpoint(path).init_seed == 2**63 + 5
+        assert load_checkpoint(path).seed == 2**63 + 5
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 3])
+    def test_the_end_seeds_load_and_save_back_bitwise(self, tmp_path, seed):
+        # 2**64 - 3 is the largest seed whose seed + 2 fits the u64
+        p1, p2 = tmp_path / "a.nsn", tmp_path / "b.nsn"
+        ckpt = sample_checkpoint()
+        ckpt.seed = seed
+        save_checkpoint(p1, ckpt)
+        assert struct.pack("<QQQ", seed, seed + 1, seed + 2) in p1.read_bytes()
+        assert load_checkpoint(p1).seed == seed
+        save_checkpoint(p2, load_checkpoint(p1))
+        assert p2.read_bytes() == p1.read_bytes()
 
 
 class TestVersion1:
@@ -104,7 +116,7 @@ def nsn2_checkpoint() -> Checkpoint:
     return Checkpoint(
         groups=family.groups,
         momentum=[MomentumState.zeros_like(g) for g in family.groups],
-        epoch=1, init_seed=0, shuffle_seed=1, dropout_seed=2,
+        epoch=1, seed=0,
         config_echo="{}")
 
 
@@ -207,6 +219,18 @@ class TestCorruption:
         save_checkpoint(path, ckpt)
         with pytest.raises(FormatError, match=f"records {count} models' "
                                               f"accuracies but has 3 groups"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("seeds", [(1, 2, 9), (1, 1, 1), (3, 2, 1)])
+    def test_seeds_of_no_one_seed_are_format_error(self, tmp_path, seeds):
+        # only an API run of an older version, which took the three streams'
+        # seeds apart, could write them
+        path = tmp_path / "model.nsn"
+        save_checkpoint(path, sample_checkpoint())
+        rewrite_seeds(path, seeds)
+        with pytest.raises(FormatError, match=rf"seeds \({seeds[0]}, "
+                                              rf"{seeds[1]}, {seeds[2]}\), "
+                                              rf"not a run's"):
             load_checkpoint(path)
 
     def test_config_echo_that_is_not_utf8_is_format_error(self, tmp_path):

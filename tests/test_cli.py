@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 import nsn
-from conftest import PAPER_L2, array_bytes, idx_label_bytes, write_idx_dir
+from conftest import (ECHOED_FIELDS, PAPER_L2, array_bytes,
+                      disagree_with_echo, idx_label_bytes, rewrite_seeds,
+                      write_idx_dir)
 from nsn.checkpoint import load_checkpoint, save_checkpoint
 from nsn.cli import build_parser, load_config_file, main
 from nsn.mnist import TEST_IMAGES, TEST_LABELS
@@ -212,8 +215,8 @@ class TestResume:
                                              state.v_bias[:7])
 
         assert self.resume_from_an_altered_checkpoint(tmp_path, cut_head) == 2
-        assert ("shapes [(7, 784), (784, 784)], the config builds "
-                "[(10, 784), (784, 784)]") in capsys.readouterr().err
+        assert ("groups and best record disagree with its config echo on "
+                "classes (7 vs 10)") in capsys.readouterr().err
 
     @pytest.mark.parametrize("echo", ["{not json", "[1, 2]"],
                              ids=["not-json", "not-an-object"])
@@ -367,8 +370,8 @@ class TestEvalCommands:
                                    str(data)] + command[1:])
         assert code == 2
         captured = capsys.readouterr()
-        assert "head of 7 rows, its config echo names 10 classes" in (
-            captured.err)
+        assert ("groups and best record disagree with its config echo on "
+                "classes (7 vs 10)") in captured.err
         assert "accuracy" not in captured.out
 
     def test_drop_too_many_layers_is_usage_error(self, tmp_path, capsys):
@@ -404,6 +407,86 @@ class TestEvalCommands:
         code = main(["eval", "--checkpoint", str(bad),
                      "--data-dir", str(data)])
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def disagreeing(tmp_path_factory):
+    """The data and out dirs of a one-epoch family run, and, per field of
+    ``ECHOED_FIELDS``, a copy of its final checkpoint whose groups or best
+    record disagree with its config echo on that field."""
+    root = tmp_path_factory.mktemp("disagreeing")
+    data = write_idx_dir(root / "data", train_count=64, test_count=32)
+    out = root / "run"
+    assert main(["train", "--data-dir", str(data), "--out-dir", str(out),
+                 "--n-hidden", "1", "--epochs", "1", "--batch", "32"]) == 0
+    files = {}
+    for field in ECHOED_FIELDS:
+        ckpt = load_checkpoint(out / "checkpoint_final.nsn")
+        disagree_with_echo(ckpt, field)
+        files[field] = root / f"{field}.nsn"
+        save_checkpoint(files[field], ckpt)
+    return data, out, files
+
+
+class TestCheckpointMatchesItsRun:
+    """Every reader refuses a checkpoint whose groups or best record are not
+    those its config echo's run writes, with exit 2 and before it writes."""
+
+    @pytest.mark.parametrize("field", ECHOED_FIELDS)
+    def test_resume_refuses_it_and_leaves_the_out_dir(self, disagreeing,
+                                                      capsys, field):
+        data, out, files = disagreeing
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        fresh = out.parent / "fresh"
+        for out_dir in (out, fresh):
+            capsys.readouterr()
+            assert main(["train", "--data-dir", str(data), "--out-dir",
+                         str(out_dir), "--n-hidden", "1", "--epochs", "2",
+                         "--batch", "32", "--resume", str(files[field])]) == 2
+            assert f"config echo on {field} (" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not fresh.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["eval"], ["detach-eval", "--drop-layers", "0"]])
+    @pytest.mark.parametrize("field", ECHOED_FIELDS)
+    def test_eval_refuses_it(self, disagreeing, capsys, field, command):
+        data, _, files = disagreeing
+        capsys.readouterr()
+        assert main(command + ["--checkpoint", str(files[field]),
+                               "--data-dir", str(data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config echo on {field} (" in captured.err
+
+    def test_an_unreadable_echo_is_not_compared(self, disagreeing, capsys,
+                                                tmp_path):
+        # a head of 9 rows, with no echo to name 10 classes
+        data, _, files = disagreeing
+        ckpt = load_checkpoint(files["classes"])
+        ckpt.config_echo = "{not json"
+        path = tmp_path / "unreadable.nsn"
+        save_checkpoint(path, ckpt)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(path),
+                     "--data-dir", str(data)]) == 0
+        assert "model m0" in capsys.readouterr().out
+        assert main(["detach-eval", "--checkpoint", str(path),
+                     "--data-dir", str(data), "--drop-layers", "1"]) == 0
+        assert "model m0" in capsys.readouterr().out
+
+    def test_seeds_of_no_one_seed_are_usage_error(self, disagreeing, capsys,
+                                                  tmp_path):
+        data, out, _ = disagreeing
+        path = tmp_path / "seeds.nsn"
+        path.write_bytes((out / "checkpoint_final.nsn").read_bytes())
+        rewrite_seeds(path, (0, 1, 9))  # the run's seed is 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(path),
+                     "--data-dir", str(data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seeds (0, 1, 9), not a run's seed" in captured.err
 
 
 def assert_usage_error(tmp_path, capsys, argv, *wanted):
@@ -565,8 +648,7 @@ class TestConfigFile:
         assert code == 0
         ckpt = load_checkpoint(out / "checkpoint_final.nsn")
         assert len(ckpt.groups) == 2
-        assert (ckpt.init_seed, ckpt.shuffle_seed,
-                ckpt.dropout_seed) == (41, 42, 43)
+        assert ckpt.seed == 41  # it loads: the file holds 41, 42 and 43
         assert json.loads(ckpt.config_echo)["seed"] == 41
 
     @pytest.mark.parametrize("line", ["epoch=7", "hidden=0.3", "config=x"])
@@ -618,9 +700,9 @@ class TestConfigFile:
 class TestSeedDerivation:
     def test_seed_streams_recorded_in_checkpoint(self, tmp_path):
         _, out = run_tiny_train(tmp_path, "--seed", "41")
-        ckpt = load_checkpoint(out / "checkpoint_final.nsn")
-        assert (ckpt.init_seed, ckpt.shuffle_seed,
-                ckpt.dropout_seed) == (41, 42, 43)
+        path = out / "checkpoint_final.nsn"
+        assert load_checkpoint(path).seed == 41
+        assert struct.pack("<QQQ", 41, 42, 43) in path.read_bytes()
 
     def test_same_seed_reproduces_bitwise(self, tmp_path):
         _, out_a = run_tiny_train(tmp_path / "a", "--seed", "9")
@@ -650,8 +732,10 @@ class TestSeedDerivation:
 
     def test_largest_seed_the_checkpoint_can_store_trains(self, tmp_path):
         _, out = run_tiny_train(tmp_path, "--seed", str(2**64 - 3))
-        ckpt = load_checkpoint(out / "checkpoint_final.nsn")
-        assert ckpt.dropout_seed == 2**64 - 1
+        path = out / "checkpoint_final.nsn"
+        assert load_checkpoint(path).seed == 2**64 - 3
+        assert (struct.pack("<QQQ", 2**64 - 3, 2**64 - 2, 2**64 - 1)
+                in path.read_bytes())
 
     @pytest.mark.parametrize("seed", [2**64 - 2, -1, -5])
     def test_a_seed_out_of_range_names_the_flag(self, tmp_path, capsys,

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (PAPER_L2, array_bytes, new_family, toy_dataset,
-                      traced_peak)
+from conftest import (ECHOED_FIELDS, PAPER_L2, array_bytes,
+                      disagree_with_echo, new_family, rewrite_seeds,
+                      toy_dataset, traced_peak)
 from nsn.checkpoint import load_checkpoint, save_checkpoint
-from nsn.errors import (ConfigError, ConsistencyError, DivergenceError,
+from nsn.errors import (ConfigError, DivergenceError, FormatError,
                         ShapeError)
 from nsn.family import ModelFamily
 from nsn.mnist import Dataset, load_data_dir
@@ -406,13 +407,43 @@ class TestTrainLoop:
         ds = toy_dataset(40, 4, 5, seed=5)
         train(toy_config(epochs=1, out_dir=tmp_path / "a"), ds, ds)
         path = tmp_path / "a" / FINAL_CHECKPOINT
-        ckpt = load_checkpoint(path)
-        ckpt.dropout_seed = 9
-        save_checkpoint(path, ckpt)
-        with pytest.raises(ConsistencyError, match=r"seeds \(5, 6, 9\), not"):
+        rewrite_seeds(path, (5, 6, 9))  # the run's seed is 5
+        with pytest.raises(FormatError, match=r"seeds \(5, 6, 9\), not"):
             train(toy_config(epochs=2, out_dir=tmp_path / "b"), ds, ds,
                   resume_from=path)
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("mode", ["nsn", "reference"])
+    @pytest.mark.parametrize("field", ECHOED_FIELDS)
+    def test_resume_refuses_a_checkpoint_that_disagrees_with_its_echo(
+            self, tmp_path, mode, field):
+        ds = toy_dataset(40, 4, 5, seed=5)
+        config = toy_config(mode=mode, n_hidden=1, epochs=1,
+                            out_dir=tmp_path / "a")
+        train(config, ds, ds)
+        path = tmp_path / "a" / FINAL_CHECKPOINT
+        ckpt = load_checkpoint(path)
+        disagree_with_echo(ckpt, field)
+        save_checkpoint(path, ckpt)
+        with pytest.raises(FormatError, match=rf"config echo on {field} \("):
+            train(replace(config, epochs=2, out_dir=tmp_path / "b"), ds, ds,
+                  resume_from=path)
+        assert not (tmp_path / "b").exists()
+
+    def test_a_run_that_never_scores_takes_its_first_epoch_as_the_best(
+            self, tmp_path, monkeypatch):
+        ds = toy_dataset(40, 4, 5, seed=5)
+        earlier = train(toy_config(epochs=1, out_dir=tmp_path), ds, ds)
+        assert earlier.best_accuracies[-1] > 0
+        monkeypatch.setattr(train_module, "evaluate", lambda view, ds: 0.0)
+        result = train(toy_config(epochs=2, out_dir=tmp_path), ds, ds)
+        assert (result.best_epoch, result.best_accuracies) == (0, [0.0] * 3)
+        assert (tmp_path / BEST_FILE).read_text() == (
+            "best_epoch,acc_m0,acc_m1,acc_m2\n0,0,0,0\n")
+        # this run's best checkpoint, not the earlier run's left in place
+        best = load_checkpoint(tmp_path / BEST_CHECKPOINT)
+        assert (best.epoch, best.best_epoch) == (1, 0)
+        assert json.loads(best.config_echo)["epochs"] == 2
 
     def test_fresh_run_replaces_old_metrics(self, tmp_path):
         train_ds = toy_dataset(40, 4, 5, seed=5)
@@ -426,9 +457,11 @@ class TestTrainLoop:
         ds = toy_dataset(40, 4, 5, seed=5)
         train_reference(toy_config(mode="reference", n_hidden=1, epochs=1,
                                    out_dir=tmp_path), ds, ds)
-        with pytest.raises(ConsistencyError, match="tracks 1 models"):
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ConfigError, match="other values of mode$"):
             train(toy_config(n_hidden=1, epochs=2, out_dir=tmp_path),
                   ds, ds, resume_from=tmp_path / FINAL_CHECKPOINT)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_resume_rejects_a_changed_config(self, tmp_path):
         ds = toy_dataset(40, 4, 5, seed=5)
