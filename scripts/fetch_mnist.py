@@ -5,10 +5,16 @@ Usage: python scripts/fetch_mnist.py [--data-dir data]
 
 The training tools read the uncompressed files only; this script strips the
 .gz layer after download. Needs outbound network access.
+
+Each file is written under a temporary name in the same directory and
+renamed over its final one, so an interrupted download leaves no torn file
+that a later call would skip as present, and a file a running command has
+mapped is never rewritten in place.
 """
 
 import argparse
 import gzip
+import os
 import urllib.request
 from pathlib import Path
 
@@ -37,7 +43,15 @@ def fetch(name: str, data_dir: Path) -> None:
             print(f"fetching {url}")
             with urllib.request.urlopen(url, timeout=60) as response:
                 payload = gzip.decompress(response.read())
-            target.write_bytes(payload)
+            tmp = target.with_name(f".{name}.tmp")
+            try:
+                with open(tmp, "wb") as fh:
+                    fh.write(payload)
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp, target)
+            finally:
+                tmp.unlink(missing_ok=True)
             print(f"wrote {target} ({len(payload)} bytes)")
             return
         except OSError as exc:

@@ -1,6 +1,6 @@
 """Command-line front door.
 
-Commands: train, train-ref, eval, detach-eval, gradcheck, verify.
+Commands: train, train-ref, eval, detach-eval, verify.
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 3 numerical divergence.
 
@@ -27,7 +27,7 @@ from .mnist import TEST_IMAGES, TEST_LABELS, load_dataset
 from .optim import Schedule
 from .train import (TrainConfig, evaluate, family_from_checkpoint, train,
                     train_reference)
-from .verify import check_gradcheck, run_all
+from .verify import run_all
 
 # Per training command: its run mode and its help.
 TRAIN_COMMANDS = {"train": ("nsn", "train a detachable family on MNIST"),
@@ -104,10 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-layers", type=int, required=True, metavar="K")
     p.set_defaults(func=cmd_detach_eval)
 
-    p = sub.add_parser("gradcheck", help="check analytic gradients against "
-                                         "the finite-difference oracle")
-    p.set_defaults(func=cmd_gradcheck)
-
     p = sub.add_parser("verify", help="run every property suite on "
                                       "synthetic data")
     p.set_defaults(func=cmd_verify)
@@ -173,9 +169,12 @@ def cmd_train(args: argparse.Namespace) -> int:
                                  str(exc))) from None
     run = train if mode == "nsn" else train_reference
     result = run(config, resume_from=args.resume, log=print)
-    accs = " ".join(f"m{i}={v:.4f}"
-                    for i, v in enumerate(result.best_accuracies))
-    print(f"best epoch {result.best_epoch + 1}: {accs}")
+    if result.best_accuracies:
+        accs = " ".join(f"m{i}={v:.4f}"
+                        for i, v in enumerate(result.best_accuracies))
+        print(f"best epoch {result.best_epoch + 1}: {accs}")
+    else:  # resumed, with no epoch to run, from a file without the best
+        print("best epoch unknown")
     print(f"final checkpoint: {result.checkpoint_path}")
     return EXIT_OK
 
@@ -219,13 +218,6 @@ def cmd_detach_eval(args: argparse.Namespace) -> int:
     print(f"dropped {k} layers -> model m{family.n - k}: "
           f"accuracy {acc:.6f} parameters {param_count(family, family.n - k)}")
     return EXIT_OK
-
-
-def cmd_gradcheck(args: argparse.Namespace) -> int:
-    result = check_gradcheck()
-    status = "PASS" if result.passed else "FAIL"
-    print(f"{status} {result.name}: {result.detail}")
-    return EXIT_OK if result.passed else EXIT_VERIFY_FAILED
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -6,6 +6,8 @@ before pointing the CLI at them (``scripts/fetch_mnist.py`` does both).
 
 from __future__ import annotations
 
+import mmap
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,10 +33,11 @@ TEST_LABELS = "t10k-labels-idx1-ubyte"
 class Dataset:
     """Pixel rows [count, 784] plus labels [count] in 0..9.
 
-    ``pixels`` is uint8 for data read from IDX files, held as the file's
-    own bytes, or float32 already in [0, 1] for data built in memory.
-    A uint8 row is scaled to float32 only when it is read, so a training
-    run never holds a float copy of its training set.
+    ``pixels`` is uint8 for data read from IDX files, a read-only view of
+    the image file mapped into memory (see :func:`load_dataset`), or
+    float32 already in [0, 1] for data built in memory. A uint8 row is
+    scaled to float32 only when it is read, so a training run never holds
+    a float copy of its training set.
     """
 
     pixels: np.ndarray
@@ -69,10 +72,12 @@ class Dataset:
         return images
 
 
-def parse_idx_images(data: bytes) -> np.ndarray:
-    """Parse an IDX image file into a uint8 tensor [count, 28, 28].
+def parse_idx_images(data: bytes | mmap.mmap) -> np.ndarray:
+    """Parse an IDX image file, given as any bytes-like buffer, into a
+    uint8 tensor [count, 28, 28].
 
-    The tensor is a read-only view over ``data``, which it keeps alive.
+    The tensor is a view over ``data``, which it keeps alive, and is
+    read-only when ``data`` is.
     The header is four big-endian u32s: magic 2051, count, rows, cols.
     Raises FormatError on a wrong magic or unexpected geometry and
     LengthError when the payload is shorter than the header promises.
@@ -122,7 +127,22 @@ def normalize(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def load_dataset(images_path: Path, labels_path: Path) -> Dataset:
-    images = parse_idx_images(Path(images_path).read_bytes())
+    """One set from its IDX image and label files.
+
+    The image file is mapped read-only, not copied: the pixels are a
+    read-only view of the file's pages in the page cache. So while a
+    command reads the file, replace it only by a rename (``os.replace``,
+    ``mv``), which leaves the mapped file whole; never rewrite it in
+    place, which changes the rows under the run, or ends it with SIGBUS
+    when the file gets shorter. The labels are copied and widened to
+    int64.
+    """
+    with open(images_path, "rb") as fh:
+        # An empty file cannot be mapped; the parser reports its length.
+        size = os.fstat(fh.fileno()).st_size
+        data = (mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                if size else b"")
+    images = parse_idx_images(data)
     labels = parse_idx_labels(Path(labels_path).read_bytes())
     if images.shape[0] != labels.shape[0]:
         raise LengthError(f"{images_path}: {images.shape[0]} images but "

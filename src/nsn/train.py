@@ -783,7 +783,9 @@ def train(config: TrainConfig, train_ds: Dataset | None = None,
     epoch are carried on, so the run continues exactly as the
     uninterrupted one, files included. A run whose best is unknown, a
     fresh one or one resumed from a version 1 file, takes its first
-    evaluated epoch as the best.
+    evaluated epoch as the best; one that evaluates no epoch keeps it
+    unknown, as best epoch -1 with no accuracies, in its result, best.csv
+    and final checkpoint.
     Every check runs before the out dir is made, and all but those of the
     datasets before a data file is opened: each set needs a row, rows of
     ``input_dim`` columns and labels in [0, ``classes``), and the training
@@ -799,7 +801,7 @@ def train(config: TrainConfig, train_ds: Dataset | None = None,
                           f"neither to load them from data_dir")
     views = config.trained_views()
     n_models = len(views)
-    start_epoch, best_epoch, best_accs = 0, -1, [0.0] * n_models
+    start_epoch, best_epoch, best_accs = 0, -1, []  # the best is unknown
     if resume_from is None:
         family, momentum = init_family(config)
     else:

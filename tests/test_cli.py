@@ -33,13 +33,13 @@ def run_tiny_train(tmp_path, *extra):
 
 class TestHelp:
     @pytest.mark.parametrize("cmd", ["train", "train-ref", "eval",
-                                     "detach-eval", "gradcheck", "verify"])
+                                     "detach-eval", "verify"])
     def test_help_exits_zero(self, cmd, capsys):
         with pytest.raises(SystemExit) as exc:
             main([cmd, "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "--" in out or cmd in ("gradcheck", "verify")
+        assert "--" in out or cmd == "verify"
 
     def test_defaults_documented(self, capsys):
         for cmd in ("train", "train-ref"):
@@ -170,6 +170,24 @@ class TestResume:
                           str(out / "checkpoint_final.nsn")) == 2
         assert "l2_lambda" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_a_resume_that_runs_no_epoch_keeps_an_unknown_best(
+            self, tmp_path, capsys):
+        # A version 1 file does not record the best, and a resume to its
+        # own epoch count evaluates no epoch that could be the best.
+        data = write_idx_dir(tmp_path / "data")
+        out = tmp_path / "run"
+        assert self.train(data, out, 1) == 0
+        v1 = tmp_path / "v1.nsn"
+        ckpt = load_checkpoint(out / "checkpoint_final.nsn")
+        ckpt.version = 1
+        save_checkpoint(v1, ckpt)
+        capsys.readouterr()
+        assert self.train(data, out, 1, "--resume", str(v1)) == 0
+        assert "best epoch unknown" in capsys.readouterr().out
+        assert (out / "best.csv").read_text() == "best_epoch\n-1\n"
+        final = load_checkpoint(out / "checkpoint_final.nsn")
+        assert (final.best_epoch, final.best_accuracies) == (-1, [])
 
     def test_stray_metrics_file_does_not_stop_a_fresh_run(self, tmp_path):
         data = write_idx_dir(tmp_path / "data")

@@ -1,13 +1,17 @@
 import math
+import mmap
+import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (REAL_DATA, idx_image_bytes, idx_label_bytes,
-                      requires_mnist, write_idx_dir)
+                      requires_mnist, traced_peak, write_idx_dir)
 from nsn.errors import ConfigError, FormatError, LengthError, NsnError
 from nsn import mnist
 
@@ -152,12 +156,44 @@ class TestBatches:
             list(mnist.batches(ds, 4, 0, seed=0))
 
 
+def buffer_owner(array: np.ndarray):
+    """The object whose memory ``array`` views."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    base = array.base
+    return base.obj if isinstance(base, memoryview) else base
+
+
 class TestByteBackedDataset:
-    def test_loader_holds_the_idx_bytes(self, synth_data_dir):
+    def test_loader_maps_the_idx_file(self, synth_data_dir):
         train, test = mnist.load_data_dir(synth_data_dir)
         for ds in (train, test):
             assert ds.pixels.dtype == np.uint8
             assert ds.pixels.nbytes == ds.count * mnist.PIXELS
+            assert isinstance(buffer_owner(ds.pixels), mmap.mmap)
+
+    def test_a_full_size_set_loads_without_copying_its_images(self,
+                                                             tmp_path):
+        # The images are 47 MB; the labels, widened to int64, 0.48 MB.
+        data = write_idx_dir(tmp_path, train_count=60000, test_count=10000)
+        assert traced_peak(lambda: mnist.load_data_dir(data)) < 2 ** 20
+
+    def test_loaded_pixels_are_not_writeable(self, synth_data_dir):
+        train, _ = mnist.load_data_dir(synth_data_dir)
+        assert not train.pixels.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            train.pixels[0, 0] = 1
+
+    def test_a_file_replaced_by_rename_leaves_the_loaded_rows(self,
+                                                              tmp_path):
+        data = write_idx_dir(tmp_path / "a", seed=1)
+        other = write_idx_dir(tmp_path / "b", seed=2)
+        train, _ = mnist.load_data_dir(data)
+        before = train.pixels.tobytes()
+        os.replace(other / mnist.TRAIN_IMAGES, data / mnist.TRAIN_IMAGES)
+        assert train.pixels.tobytes() == before
+        again, _ = mnist.load_data_dir(data)
+        assert again.pixels.tobytes() != before
 
     def test_an_empty_image_file_is_rejected_at_load(self, tmp_path):
         data = write_idx_dir(tmp_path, train_count=8, test_count=0)
@@ -216,8 +252,9 @@ def idx_files(draw, magic: int, dims: int):
 
 
 class TestAnyBytes:
-    """For any bytes, the IDX parsers either return or raise an NsnError,
-    which the CLI reports with exit 2."""
+    """For any bytes, the IDX parsers, and the loader given them as an
+    image file, either return or raise an NsnError, which the CLI reports
+    with exit 2."""
 
     @settings(deadline=None, max_examples=300)
     @given(data=idx_files(mnist.IMAGE_MAGIC, dims=3))
@@ -226,6 +263,24 @@ class TestAnyBytes:
             mnist.parse_idx_images(data)
         except NsnError:
             pass
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=idx_files(mnist.IMAGE_MAGIC, dims=3))
+    @example(data=b"")
+    @example(data=b"\x08")
+    @example(data=bytes(15))
+    def test_image_files(self, data):
+        # The loader maps the file, and a map of no bytes cannot be made.
+        # The labels agree with any count the bytes can hold.
+        count = max(len(data) - 16, 0) // mnist.PIXELS
+        with tempfile.TemporaryDirectory() as tmp:
+            images, labels = Path(tmp) / "images", Path(tmp) / "labels"
+            images.write_bytes(data)
+            labels.write_bytes(idx_label_bytes(np.zeros(count, np.uint8)))
+            try:
+                mnist.load_dataset(images, labels)
+            except NsnError:
+                pass
 
     @settings(deadline=None, max_examples=300)
     @given(data=idx_files(mnist.LABEL_MAGIC, dims=1))

@@ -97,7 +97,3 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "failed: " in out
-
-    def test_gradcheck_command(self, capsys):
-        assert main(["gradcheck"]) == 0
-        assert "PASS gradcheck" in capsys.readouterr().out
