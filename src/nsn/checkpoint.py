@@ -25,18 +25,25 @@ Layout (all integers little-endian):
     u32     config echo byte length, then UTF-8 bytes
 
 Round-trips are bitwise, version 1 files included: float payloads are
-written from the arrays themselves and read with readinto() straight into
-the arrays the loaded checkpoint holds, so neither a save nor a load copies
-a parameter. Every length is checked against the bytes left in the file
-before anything is allocated for it, and an n or a bias length the groups
-do not agree with is a FormatError, and so is a model count that is none
-of 0, 1 and the group count. A version 1 file loads with the best epoch
+written from the arrays themselves, and a load maps the file read-only
+and makes each payload a read-only view of the mapped pages at its
+offset, so neither a save nor a load copies a parameter. A loaded array
+cannot be written; a resumed run copies what it trains
+(``train.train``). Every length is checked against the bytes left in the
+file, and every check of the file runs before any view is made; an n or
+a bias length the groups do not agree with is a FormatError, and so is a
+model count that is none of 0, 1 and the group count. A load error names
+the file. A version 1 file loads with the best epoch
 unknown (-1, no accuracies). Whether the groups and best record are the
 ones the config echo's run writes is checked by
 ``train.family_from_checkpoint``, which every reader calls.
 
 Files are written to a temporary file in the same directory and renamed
-over the target, so a crash mid-write leaves the previous file whole.
+over the target, so a crash mid-write leaves the previous file whole, and
+a command still reading the file it replaces keeps the old bytes. So
+replace a checkpoint only by a rename, never rewrite it in place: that
+changes the weights under a command reading it, or ends the command with
+SIGBUS when the file gets shorter.
 """
 
 from __future__ import annotations
@@ -49,7 +56,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, LengthError
+from .errors import FormatError, LengthError, in_file
+from .mnist import map_file
 from .nn import DenseLayer
 from .optim import MomentumState
 
@@ -101,77 +109,94 @@ def save_checkpoint(path: Path, ckpt: Checkpoint) -> None:
 
 
 class _Reader:
-    """Reads an open file front to back; every read is first checked
-    against the bytes left, so a header cannot make it allocate more than
-    the file holds."""
+    """Parses a checkpoint's bytes front to back; every read is first
+    checked against the bytes left, so a header cannot claim more than the
+    file holds. A float payload is only claimed here, as its offset and
+    shape; :meth:`views` makes the arrays once every check has passed."""
 
-    def __init__(self, fh):
-        self.fh = fh
-        self.size = os.fstat(fh.fileno()).st_size
+    def __init__(self, data):
+        self.data = data
         self.pos = 0
+        self.payloads: list[tuple[int, tuple[int, ...]]] = []
 
     def _claim(self, count: int) -> int:
-        if self.pos + count > self.size:
+        start = self.pos
+        if start + count > len(self.data):
             raise LengthError(f"checkpoint truncated: needed "
-                              f"{self.pos + count} bytes, have {self.size}")
+                              f"{start + count} bytes, have {len(self.data)}")
         self.pos += count
-        return count
+        return start
 
     def take(self, count: int) -> bytes:
-        return self.fh.read(self._claim(count))
+        start = self._claim(count)
+        return self.data[start:self.pos]
 
     def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        return struct.unpack_from(fmt, self.data,
+                                  self._claim(struct.calcsize(fmt)))
 
-    def f32s(self, *shape: int) -> np.ndarray:
-        self._claim(4 * math.prod(shape))
-        out = np.empty(shape, "<f4")
-        if self.fh.readinto(out) != out.nbytes:
-            raise LengthError("checkpoint shrank while it was read")
-        return out
+    def f32s(self, *shape: int) -> None:
+        self.payloads.append((self._claim(4 * math.prod(shape)), shape))
+
+    def views(self) -> list[np.ndarray]:
+        """Every claimed payload, a read-only view of the data."""
+        return [np.frombuffer(self.data, "<f4", math.prod(shape),
+                              offset).reshape(shape)
+                for offset, shape in self.payloads]
 
 
 def load_checkpoint(path: Path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        r = _Reader(fh)
-        magic = r.take(4)
-        if magic != MAGIC:
-            raise FormatError(f"bad checkpoint magic: {magic!r}")
-        version, n, group_count = r.unpack("<III")
-        if version not in (1, VERSION):
-            raise FormatError(f"unsupported checkpoint version {version}")
-        if n + 1 != group_count:
-            raise FormatError(f"checkpoint claims n={n} but has "
-                              f"{group_count} groups")
-        groups, momentum = [], []
-        for g in range(group_count):
-            rows, cols = r.unpack("<II")
-            weight, bias = r.f32s(rows, cols), r.f32s(*r.unpack("<I"))
-            v_weight, v_bias = r.f32s(rows, cols), r.f32s(*r.unpack("<I"))
-            if bias.shape != (rows,) or v_bias.shape != (rows,):
-                raise FormatError(f"group {g} has a {rows}x{cols} weight but "
-                                  f"{bias.size} biases and {v_bias.size} "
-                                  f"bias momenta")
-            groups.append(DenseLayer(weight, bias))
-            momentum.append(MomentumState(v_weight, v_bias))
-        epoch, *seeds = r.unpack("<IQQQ")
-        if seeds != list(range(seeds[0], seeds[0] + 3)):
-            raise FormatError(f"checkpoint has the seeds {tuple(seeds)}, not "
-                              f"a run's seed, seed + 1 and seed + 2")
-        best_epoch, best_accs = -1, []
-        if version >= 2:
-            best_epoch, count = r.unpack("<iI")
-            if count not in (0, 1, group_count):
-                raise FormatError(f"checkpoint records {count} models' "
-                                  f"accuracies but has {group_count} groups")
-            best_accs = list(r.unpack(f"<{count}d"))
-        try:
-            echo = r.take(*r.unpack("<I")).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"config echo is not UTF-8: {exc}") from None
-        if r.pos != r.size:
-            raise LengthError(f"checkpoint has {r.size - r.pos} "
-                              f"trailing bytes")
+    """The checkpoint at ``path``, its arrays read-only views of the file
+    mapped into memory."""
+    with in_file(path):
+        return _parse(_Reader(map_file(path)))
+
+
+def _parse(r: _Reader) -> Checkpoint:
+    magic = r.take(4)
+    if magic != MAGIC:
+        raise FormatError(f"bad checkpoint magic: {magic!r}")
+    version, n, group_count = r.unpack("<III")
+    if version not in (1, VERSION):
+        raise FormatError(f"unsupported checkpoint version {version}")
+    if n + 1 != group_count:
+        raise FormatError(f"checkpoint claims n={n} but has "
+                          f"{group_count} groups")
+    for g in range(group_count):
+        rows, cols = r.unpack("<II")
+        r.f32s(rows, cols)
+        (biases,) = r.unpack("<I")
+        r.f32s(biases)
+        r.f32s(rows, cols)
+        (bias_momenta,) = r.unpack("<I")
+        r.f32s(bias_momenta)
+        if biases != rows or bias_momenta != rows:
+            raise FormatError(f"group {g} has a {rows}x{cols} weight but "
+                              f"{biases} biases and {bias_momenta} "
+                              f"bias momenta")
+    epoch, *seeds = r.unpack("<IQQQ")
+    if seeds != list(range(seeds[0], seeds[0] + 3)):
+        raise FormatError(f"checkpoint has the seeds {tuple(seeds)}, not "
+                          f"a run's seed, seed + 1 and seed + 2")
+    best_epoch, best_accs = -1, []
+    if version >= 2:
+        best_epoch, count = r.unpack("<iI")
+        if count not in (0, 1, group_count):
+            raise FormatError(f"checkpoint records {count} models' "
+                              f"accuracies but has {group_count} groups")
+        best_accs = list(r.unpack(f"<{count}d"))
+    try:
+        echo = r.take(*r.unpack("<I")).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"config echo is not UTF-8: {exc}") from None
+    if r.pos != len(r.data):
+        raise LengthError(f"checkpoint has {len(r.data) - r.pos} "
+                          f"trailing bytes")
+    arrays = iter(r.views())  # per group: weight, bias, v_weight, v_bias
+    groups, momentum = [], []
+    for weight, bias, v_weight, v_bias in zip(arrays, arrays, arrays, arrays):
+        groups.append(DenseLayer(weight, bias))
+        momentum.append(MomentumState(v_weight, v_bias))
     return Checkpoint(groups=groups, momentum=momentum, epoch=epoch,
                       seed=seeds[0], config_echo=echo,
                       best_epoch=best_epoch, best_accuracies=best_accs,

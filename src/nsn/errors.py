@@ -4,6 +4,8 @@ Every failure mode callers are expected to handle has its own class so the
 CLI can map them to exit codes without string matching.
 """
 
+from contextlib import contextmanager
+
 
 class NsnError(Exception):
     """Base class for all package-specific errors."""
@@ -38,6 +40,17 @@ def check_ranges(record, rules) -> None:
         if not ok:
             raise ConfigError(f"{name} must be {allowed}, "
                               f"got {getattr(record, name)}", name)
+
+
+@contextmanager
+def in_file(path):
+    """Re-raise a :class:`FormatError` or :class:`LengthError` of the block
+    as the same class with ``path`` in front of its message, so that an
+    error parsing a file names the file."""
+    try:
+        yield
+    except (FormatError, LengthError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 class ConsistencyError(NsnError, RuntimeError):

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, LengthError
+from .errors import ConfigError, FormatError, LengthError, in_file
 
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
@@ -126,6 +126,15 @@ def normalize(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(flat, np.float32(255.0), out=out, dtype=np.float32)
 
 
+def map_file(path: Path) -> mmap.mmap | bytes:
+    """The file at ``path`` mapped read-only, or ``b""`` when it is empty,
+    which cannot be mapped; a parser then reports its length."""
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:
+            return b""
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+
+
 def load_dataset(images_path: Path, labels_path: Path) -> Dataset:
     """One set from its IDX image and label files.
 
@@ -135,15 +144,12 @@ def load_dataset(images_path: Path, labels_path: Path) -> Dataset:
     ``mv``), which leaves the mapped file whole; never rewrite it in
     place, which changes the rows under the run, or ends it with SIGBUS
     when the file gets shorter. The labels are copied and widened to
-    int64.
+    int64. A parse error names the file it is in.
     """
-    with open(images_path, "rb") as fh:
-        # An empty file cannot be mapped; the parser reports its length.
-        size = os.fstat(fh.fileno()).st_size
-        data = (mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-                if size else b"")
-    images = parse_idx_images(data)
-    labels = parse_idx_labels(Path(labels_path).read_bytes())
+    with in_file(images_path):
+        images = parse_idx_images(map_file(images_path))
+    with in_file(labels_path):
+        labels = parse_idx_labels(Path(labels_path).read_bytes())
     if images.shape[0] != labels.shape[0]:
         raise LengthError(f"{images_path}: {images.shape[0]} images but "
                           f"{labels.shape[0]} labels")

@@ -694,7 +694,9 @@ def family_from_checkpoint(ckpt: Checkpoint) -> tuple[ModelFamily,
                                                       list[MomentumState]]:
     """The family, or a baseline stored as one, and its momentum state,
     sharing the checkpoint's arrays; every reader of a checkpoint gets them
-    here.
+    here. The arrays are read-only views of the checkpoint file
+    (:func:`checkpoint.load_checkpoint`), so an evaluation reads them in
+    place and a resumed run (:func:`train`) trains copies of them.
 
     A checkpoint whose groups or best record are not those its config
     echo's run writes is a :class:`FormatError`: the group count less one
@@ -819,6 +821,12 @@ def train(config: TrainConfig, train_ds: Dataset | None = None,
         start_epoch = ckpt.epoch
         if ckpt.best_accuracies:  # a version 1 file leaves the best unknown
             best_epoch, best_accs = ckpt.best_epoch, ckpt.best_accuracies
+        # The loaded arrays are read-only views of the file. Train copies
+        # of them, and drop the views, so that the file is unmapped.
+        family = ModelFamily([layer.copy() for layer in family.groups])
+        momentum = [MomentumState(state.v_weight.copy(), state.v_bias.copy())
+                    for state in momentum]
+        del ckpt
     models = [family.view(m) for m in views]
     if train_ds is None:
         if config.data_dir is None:

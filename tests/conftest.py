@@ -123,6 +123,11 @@ def array_bytes(records) -> list[bytes]:
     return [a.tobytes() for r in records for a in vars(r).values()]
 
 
+def checkpoint_arrays(ckpt) -> list[np.ndarray]:
+    """Every array of a checkpoint: its groups', then its momentum's."""
+    return [a for r in ckpt.groups + ckpt.momentum for a in vars(r).values()]
+
+
 def traced_peak(fn) -> int:
     """Bytes ``fn()`` allocates at its peak, over what was live before."""
     tracemalloc.start()

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import array_bytes, new_family, rewrite_seeds, traced_peak
+from conftest import (array_bytes, checkpoint_arrays, new_family,
+                      rewrite_seeds, traced_peak)
 from nsn.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from nsn.errors import FormatError, LengthError, NsnError
 from nsn.nn import DenseLayer
@@ -129,14 +131,14 @@ class TestSaveMemory:
 
 
 class TestLoadMemory:
-    def test_load_holds_each_parameter_once(self, tmp_path):
+    def test_load_copies_no_array(self, tmp_path):
         path = tmp_path / "nsn2.nsn"
         save_checkpoint(path, nsn2_checkpoint())
         size = path.stat().st_size
         assert size > 9_900_000
         peak = traced_peak(lambda: family_from_checkpoint(
             load_checkpoint(path)))
-        assert peak < 1.25 * size
+        assert peak < 0.01 * size
 
     def test_huge_group_header_fails_before_allocating(self, tmp_path):
         path = tmp_path / "huge.nsn"
@@ -148,6 +150,30 @@ class TestLoadMemory:
                 load_checkpoint(path)
 
         assert traced_peak(load) < 1_000_000
+
+
+class TestMappedLoad:
+    def test_loaded_arrays_cannot_be_written(self, tmp_path):
+        path = tmp_path / "model.nsn"
+        save_checkpoint(path, sample_checkpoint())
+        before = path.read_bytes()
+        for array in checkpoint_arrays(load_checkpoint(path)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        assert path.read_bytes() == before
+
+    def test_a_checkpoint_renamed_over_the_file_leaves_the_loaded_values(
+            self, tmp_path):
+        path = tmp_path / "model.nsn"
+        first = sample_checkpoint(seed=0)
+        save_checkpoint(path, first)
+        loaded = load_checkpoint(path)
+        save_checkpoint(path, sample_checkpoint(seed=1))
+        assert array_bytes(loaded.groups) == array_bytes(first.groups)
+        assert array_bytes(loaded.momentum) == array_bytes(first.momentum)
+        assert (array_bytes(load_checkpoint(path).groups)
+                == array_bytes(sample_checkpoint(seed=1).groups))
 
 
 class TestAtomicWrite:
@@ -199,9 +225,12 @@ class TestCorruption:
     def test_truncation_is_length_error(self, tmp_path):
         path = tmp_path / "model.nsn"
         save_checkpoint(path, sample_checkpoint())
-        path.write_bytes(path.read_bytes()[:50])
-        with pytest.raises(LengthError, match="truncated"):
-            load_checkpoint(path)
+        whole = path.read_bytes()
+        for cut in (0, 3, 50):  # an empty file cannot be mapped
+            path.write_bytes(whole[:cut])
+            with pytest.raises(LengthError, match=f"^{re.escape(str(path))}"
+                                                  f": checkpoint truncated"):
+                load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.nsn"

@@ -426,6 +426,33 @@ class TestEvalCommands:
                      "--data-dir", str(data)])
         assert code == 2
 
+    @pytest.mark.parametrize("name, size, wanted", [
+        (TEST_IMAGES, 1000, "image payload: expected 50192 bytes, got 1000"),
+        (TEST_LABELS, 2, "label header needs 8 bytes, got 2")],
+        ids=["images", "labels"])
+    def test_a_torn_data_file_is_named(self, tmp_path, capsys, name, size,
+                                       wanted):
+        data, out = run_tiny_train(tmp_path)
+        torn = data / name
+        torn.write_bytes(torn.read_bytes()[:size])
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint",
+                     str(out / "checkpoint_final.nsn"),
+                     "--data-dir", str(data)])
+        assert code == 2
+        assert f"error: {torn}: {wanted}" in capsys.readouterr().err
+
+    def test_a_truncated_checkpoint_is_named(self, tmp_path, capsys):
+        data, out = run_tiny_train(tmp_path)
+        path = out / "checkpoint_final.nsn"
+        path.write_bytes(path.read_bytes()[:5000])
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(path),
+                     "--data-dir", str(data)])
+        assert code == 2
+        assert (f"error: {path}: checkpoint truncated"
+                in capsys.readouterr().err)
+
 
 @pytest.fixture(scope="module")
 def disagreeing(tmp_path_factory):

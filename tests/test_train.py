@@ -7,6 +7,7 @@ import signal
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (ECHOED_FIELDS, PAPER_L2, array_bytes,
-                      disagree_with_echo, new_family, rewrite_seeds,
-                      toy_dataset, traced_peak)
+                      checkpoint_arrays, disagree_with_echo, new_family,
+                      rewrite_seeds, toy_dataset, traced_peak)
 from nsn.checkpoint import load_checkpoint, save_checkpoint
 from nsn.errors import (ConfigError, DivergenceError, FormatError,
                         ShapeError)
@@ -535,6 +536,69 @@ class TestTrainLoop:
         test_ds = toy_dataset(80, config.input_dim, config.classes, seed=10)
         result = train(config, train_ds, test_ds)
         assert result.best_accuracies[-1] > 0.5
+
+
+class TestResumeCopiesWhatItTrains:
+    """A loaded checkpoint's arrays are read-only views of its file; a
+    resumed run trains copies of them."""
+
+    @pytest.mark.parametrize("mode", ["nsn", "reference"])
+    def test_the_file_resumed_from_is_left_byte_identical(self, tmp_path,
+                                                          mode):
+        ds = toy_dataset(40, 4, 5, seed=5)
+        config = toy_config(mode=mode, epochs=1, out_dir=tmp_path)
+        train(config, ds, ds)
+        source = tmp_path / "from.nsn"
+        source.write_bytes((tmp_path / FINAL_CHECKPOINT).read_bytes())
+        before = source.read_bytes()
+        train(replace(config, epochs=2), ds, ds, resume_from=source)
+        assert source.read_bytes() == before
+        assert (tmp_path / FINAL_CHECKPOINT).read_bytes() != before
+
+    def test_the_run_trains_writeable_arrays_apart_from_the_checkpoints(
+            self, tmp_path, monkeypatch):
+        ds = toy_dataset(40, 4, 5, seed=5)
+        train(toy_config(epochs=1, out_dir=tmp_path), ds, ds)
+        loaded, saved = [], []
+
+        def load(path):
+            loaded.append(load_checkpoint(path))
+            return loaded[-1]
+
+        def save(path, ckpt):
+            saved.append(ckpt)
+            save_checkpoint(path, ckpt)
+
+        monkeypatch.setattr(train_module, "load_checkpoint", load)
+        monkeypatch.setattr(train_module, "save_checkpoint", save)
+        train(toy_config(epochs=2, out_dir=tmp_path), ds, ds,
+              resume_from=tmp_path / FINAL_CHECKPOINT)
+        held = checkpoint_arrays(loaded[0])
+        trained = checkpoint_arrays(saved[-1])  # the run's own arrays
+        assert not any(a.flags.writeable for a in held)
+        assert all(a.flags.writeable for a in trained)
+        assert not any(np.shares_memory(a, b) for a in trained for b in held)
+
+    def test_the_run_holds_no_loaded_array_once_it_steps(self, tmp_path,
+                                                         monkeypatch):
+        ds = toy_dataset(40, 4, 5, seed=5)
+        train(toy_config(epochs=1, out_dir=tmp_path), ds, ds)
+        refs, alive = [], []
+
+        def load(path):
+            ckpt = load_checkpoint(path)
+            refs.extend(weakref.ref(a) for a in checkpoint_arrays(ckpt))
+            return ckpt
+
+        def step(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return train_step(*args)
+
+        monkeypatch.setattr(train_module, "load_checkpoint", load)
+        monkeypatch.setattr(train_module, "train_step", step)
+        train(toy_config(epochs=2, out_dir=tmp_path), ds, ds,
+              resume_from=tmp_path / FINAL_CHECKPOINT)
+        assert len(refs) == 12 and alive and alive[0] == 0
 
 
 class TestConfigValidation:
