@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic   4 bytes  b"NSN1"
-    u32     version (2 is written; 1 is still read)
+    u32     version (2; any other is a FormatError)
     u32     n (hidden layers of the base model): the group count - 1
     u32     group count
     per group, ordered head-first (group id 0 .. n):
@@ -16,7 +16,7 @@ Layout (all integers little-endian):
     u64 x3  seed, seed + 1, seed + 2: the init, shuffle and dropout
             streams of the run's one seed (any other triple is a
             FormatError; only an API run of an older version could write one)
-    version 2 only, the best epoch so far so that a resumed run keeps it:
+    the best epoch so far, so that a resumed run keeps it:
         i32 best epoch (0-based; -1 when none has been evaluated)
         u32 model count, then that many f64: every model's test accuracy
             at the best epoch. The count is 1 for a baseline (its base
@@ -24,18 +24,16 @@ Layout (all integers little-endian):
             the best is unknown.
     u32     config echo byte length, then UTF-8 bytes
 
-Round-trips are bitwise, version 1 files included: float payloads are
-written from the arrays themselves, and a load maps the file read-only
-and makes each payload a read-only view of the mapped pages at its
-offset, so neither a save nor a load copies a parameter. A loaded array
-cannot be written; a resumed run copies what it trains
-(``train.train``). Every length is checked against the bytes left in the
-file, and every check of the file runs before any view is made; an n or
-a bias length the groups do not agree with is a FormatError, and so is a
-model count that is none of 0, 1 and the group count. A load error names
-the file. A version 1 file loads with the best epoch
-unknown (-1, no accuracies). Whether the groups and best record are the
-ones the config echo's run writes is checked by
+Round-trips are bitwise: float payloads are written from the arrays
+themselves, and a load maps the file read-only and makes each payload a
+read-only view of the mapped pages at its offset, so neither a save nor a
+load copies a parameter. A loaded array cannot be written; a resumed run
+copies what it trains (``train.train``). Every length is checked against
+the bytes left in the file, and every check of the file runs before any
+view is made; an n or a bias length the groups do not agree with is a
+FormatError, and so is a model count that is none of 0, 1 and the group
+count. A load error names the file. Whether the groups and best record
+are the ones the config echo's run writes is checked by
 ``train.family_from_checkpoint``, which every reader calls.
 
 Files are written to a temporary file in the same directory and renamed
@@ -74,7 +72,6 @@ class Checkpoint:
     config_echo: str
     best_epoch: int = -1
     best_accuracies: list = field(default_factory=list)  # one per model
-    version: int = VERSION
 
 
 def save_checkpoint(path: Path, ckpt: Checkpoint) -> None:
@@ -83,7 +80,7 @@ def save_checkpoint(path: Path, ckpt: Checkpoint) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(MAGIC)
-            fh.write(struct.pack("<III", ckpt.version, len(ckpt.groups) - 1,
+            fh.write(struct.pack("<III", VERSION, len(ckpt.groups) - 1,
                                  len(ckpt.groups)))
             for layer, state in zip(ckpt.groups, ckpt.momentum, strict=True):
                 fh.write(struct.pack("<II", *layer.weight.shape))
@@ -94,10 +91,9 @@ def save_checkpoint(path: Path, ckpt: Checkpoint) -> None:
                     fh.write(np.ascontiguousarray(a, "<f4"))
             fh.write(struct.pack("<IQQQ", ckpt.epoch, ckpt.seed,
                                  ckpt.seed + 1, ckpt.seed + 2))
-            if ckpt.version >= 2:
-                accs = ckpt.best_accuracies
-                fh.write(struct.pack(f"<iI{len(accs)}d", ckpt.best_epoch,
-                                     len(accs), *accs))
+            accs = ckpt.best_accuracies
+            fh.write(struct.pack(f"<iI{len(accs)}d", ckpt.best_epoch,
+                                 len(accs), *accs))
             echo = ckpt.config_echo.encode("utf-8")
             fh.write(struct.pack("<I", len(echo)))
             fh.write(echo)
@@ -157,7 +153,7 @@ def _parse(r: _Reader) -> Checkpoint:
     if magic != MAGIC:
         raise FormatError(f"bad checkpoint magic: {magic!r}")
     version, n, group_count = r.unpack("<III")
-    if version not in (1, VERSION):
+    if version != VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
     if n + 1 != group_count:
         raise FormatError(f"checkpoint claims n={n} but has "
@@ -178,13 +174,11 @@ def _parse(r: _Reader) -> Checkpoint:
     if seeds != list(range(seeds[0], seeds[0] + 3)):
         raise FormatError(f"checkpoint has the seeds {tuple(seeds)}, not "
                           f"a run's seed, seed + 1 and seed + 2")
-    best_epoch, best_accs = -1, []
-    if version >= 2:
-        best_epoch, count = r.unpack("<iI")
-        if count not in (0, 1, group_count):
-            raise FormatError(f"checkpoint records {count} models' "
-                              f"accuracies but has {group_count} groups")
-        best_accs = list(r.unpack(f"<{count}d"))
+    best_epoch, count = r.unpack("<iI")
+    if count not in (0, 1, group_count):
+        raise FormatError(f"checkpoint records {count} models' "
+                          f"accuracies but has {group_count} groups")
+    best_accs = list(r.unpack(f"<{count}d"))
     try:
         echo = r.take(*r.unpack("<I")).decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -199,5 +193,4 @@ def _parse(r: _Reader) -> Checkpoint:
         momentum.append(MomentumState(v_weight, v_bias))
     return Checkpoint(groups=groups, momentum=momentum, epoch=epoch,
                       seed=seeds[0], config_echo=echo,
-                      best_epoch=best_epoch, best_accuracies=best_accs,
-                      version=version)
+                      best_epoch=best_epoch, best_accuracies=best_accs)

@@ -161,14 +161,14 @@ def cmd_train(args: argparse.Namespace) -> int:
                                for f in fields(Schedule)})
         config = TrainConfig(mode=mode, schedule=schedule, **values,
                              data_dir=args.data_dir, out_dir=args.out_dir)
+        run = train if mode == "nsn" else train_reference
+        result = run(config, resume_from=args.resume, log=print)
     except ConfigError as exc:
         if exc.field not in flags:
             raise
         # every field the message names, under its flag
         raise ConfigError(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]),
                                  str(exc))) from None
-    run = train if mode == "nsn" else train_reference
-    result = run(config, resume_from=args.resume, log=print)
     if result.best_accuracies:
         accs = " ".join(f"m{i}={v:.4f}"
                         for i, v in enumerate(result.best_accuracies))
@@ -188,7 +188,8 @@ def _load_trained(path: Path):
     """(family, the indices of the views its run trained) from a checkpoint.
 
     The last views are the models the run trained: all of a family's, a
-    baseline's base view. A version 1 file does not say; [-0:] is all.
+    baseline's base view. A file of model count 0 does not say; [-0:] is
+    all.
     """
     ckpt = load_checkpoint(path)
     family, _ = family_from_checkpoint(ckpt)

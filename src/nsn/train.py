@@ -644,9 +644,11 @@ class _MetricsWriter:
 
     A fresh run starts a fresh file. A resumed run keeps the earlier run's
     rows before ``start_epoch`` and drops the rest, so it rewrites them
-    instead of repeating them; a row that is not UTF-8 or whose first field
-    is not an epoch is a :class:`FormatError`, raised before the file is
-    rewritten.
+    instead of repeating them. It keeps rows only under its own header: a
+    file with another header (another run's, of other models) or with a
+    row that is not UTF-8 or whose first field is not an epoch is a
+    :class:`FormatError`, raised before the file is rewritten. An empty
+    file keeps no rows.
     """
 
     def __init__(self, out_dir: Path, n_models: int, start_epoch: int):
@@ -656,8 +658,11 @@ class _MetricsWriter:
                 + [f"acc_m{i}" for i in range(n_models)])
         kept = [",".join(cols) + "\n"]
         if start_epoch > 0 and path.exists():
-            rows = path.read_bytes().splitlines(keepends=True)[1:]
-            for line, row in enumerate(rows, 2):
+            lines = path.read_bytes().splitlines(keepends=True)
+            if lines and lines[0] != kept[0].encode():
+                raise FormatError(f"{path} holds another run's metrics: its "
+                                  f"header is not {kept[0].rstrip()}")
+            for line, row in enumerate(lines[1:], 2):
                 try:
                     row = row.decode("utf-8")
                     epoch = int(row.split(",", 1)[0])
@@ -753,20 +758,18 @@ def echo_fields(echo: str) -> dict | None:
 
 
 def _changed_fields(config: TrainConfig, echo: str) -> list[str]:
-    """Fields of ``config`` that differ from a checkpoint's config echo,
-    leaving out those a resumed run may change: its length, its paths, and
-    the seed, which it takes from the checkpoint. A run that did not
-    shuffle, which only an older version could make, differs in
-    ``shuffle``."""
+    """Keys of ``config``'s echo or of a checkpoint's config echo whose
+    values differ, a key on one side only included, leaving out those a
+    resumed run may change: its length, its paths, and the seed, which it
+    takes from the checkpoint."""
     stored = echo_fields(echo)
     if stored is None:
         raise ConsistencyError("checkpoint has no readable config echo")
+    current = json.loads(config.echo())
     free = {"epochs", "data_dir", "out_dir", "seed"}
-    changed = [k for k, v in json.loads(config.echo()).items()
-               if k not in free and stored.get(k) != v]
-    if stored.get("shuffle") is False:
-        changed.append("shuffle")
-    return sorted(changed)
+    return sorted(k for k in (current.keys() | stored.keys()) - free
+                  if k not in current or k not in stored
+                  or current[k] != stored[k])
 
 
 def train(config: TrainConfig, train_ds: Dataset | None = None,
@@ -779,15 +782,16 @@ def train(config: TrainConfig, train_ds: Dataset | None = None,
 
     The datasets are both given or both loaded from ``config.data_dir``.
     When resuming, the checkpoint must match its own config echo
-    (:func:`family_from_checkpoint`), every field of the config but the
-    epochs, the paths and the seed must match that echo, the epochs may
-    not be fewer than the checkpoint's, and the checkpoint's seed and best
-    epoch are carried on, so the run continues exactly as the
-    uninterrupted one, files included. A run whose best is unknown, a
-    fresh one or one resumed from a version 1 file, takes its first
-    evaluated epoch as the best; one that evaluates no epoch keeps it
-    unknown, as best epoch -1 with no accuracies, in its result, best.csv
-    and final checkpoint.
+    (:func:`family_from_checkpoint`), the config's echo and that echo
+    must hold the same keys with the same values but the epochs, the
+    paths and the seed (:func:`_changed_fields`), the epochs may not be
+    fewer than the checkpoint's, and the checkpoint's seed and best epoch
+    are carried on, so the run continues exactly as the uninterrupted
+    one, files included. A run whose best is unknown, a fresh one or one
+    resumed from a checkpoint of model count 0, takes its first evaluated
+    epoch as the best; one that evaluates no epoch keeps it unknown, as
+    best epoch -1 with no accuracies, in its result, best.csv and final
+    checkpoint.
     Every check runs before the out dir is made, and all but those of the
     datasets before a data file is opened: each set needs a row, rows of
     ``input_dim`` columns and labels in [0, ``classes``), and the training
@@ -819,7 +823,7 @@ def train(config: TrainConfig, train_ds: Dataset | None = None,
                               f"of {', '.join(changed)}")
         config = replace(config, seed=ckpt.seed)
         start_epoch = ckpt.epoch
-        if ckpt.best_accuracies:  # a version 1 file leaves the best unknown
+        if ckpt.best_accuracies:  # a model count of 0: the best is unknown
             best_epoch, best_accs = ckpt.best_epoch, ckpt.best_accuracies
         # The loaded arrays are read-only views of the file. Train copies
         # of them, and drop the views, so that the file is unmapped.
@@ -844,7 +848,7 @@ def train(config: TrainConfig, train_ds: Dataset | None = None,
                               f"[0, {config.classes})")
     if config.batch_size > train_ds.count:
         raise ConfigError(f"batch_size {config.batch_size} exceeds the "
-                          f"{train_ds.count} training samples")
+                          f"{train_ds.count} training samples", "batch_size")
     one_blas_thread()
 
     out_dir = Path(config.out_dir)

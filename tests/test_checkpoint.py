@@ -30,17 +30,6 @@ def sample_checkpoint(seed=0):
                       best_accuracies=[0.9, 1 / 3, 0.97])
 
 
-def version1_bytes() -> bytes:
-    """A one-group version 1 file, laid out by hand from the format."""
-    w = np.arange(6, dtype=np.float32).reshape(2, 3)
-    b = np.array([0.5, -0.5], np.float32)
-    group = (struct.pack("<II", 2, 3) + w.tobytes() + struct.pack("<I", 2)
-             + b.tobytes() + (2 * w).tobytes() + struct.pack("<I", 2)
-             + (2 * b).tobytes())
-    return (b"NSN1" + struct.pack("<III", 1, 0, 1) + group
-            + struct.pack("<IQQQ", 4, 7, 8, 9) + struct.pack("<I", 2) + b"{}")
-
-
 class TestRoundTrip:
     def test_bitwise(self, tmp_path):
         path = tmp_path / "model.nsn"
@@ -93,22 +82,6 @@ class TestRoundTrip:
         save_checkpoint(p1, ckpt)
         assert struct.pack("<QQQ", seed, seed + 1, seed + 2) in p1.read_bytes()
         assert load_checkpoint(p1).seed == seed
-        save_checkpoint(p2, load_checkpoint(p1))
-        assert p2.read_bytes() == p1.read_bytes()
-
-
-class TestVersion1:
-    def test_loads_with_best_unknown(self, tmp_path):
-        path = tmp_path / "v1.nsn"
-        path.write_bytes(version1_bytes())
-        ckpt = load_checkpoint(path)
-        assert (ckpt.version, len(ckpt.groups), ckpt.epoch) == (1, 1, 4)
-        assert (ckpt.best_epoch, ckpt.best_accuracies) == (-1, [])
-        assert ckpt.momentum[0].v_weight[1, 2] == 10.0
-
-    def test_load_save_is_bitwise(self, tmp_path):
-        p1, p2 = tmp_path / "a.nsn", tmp_path / "b.nsn"
-        p1.write_bytes(version1_bytes())
         save_checkpoint(p2, load_checkpoint(p1))
         assert p2.read_bytes() == p1.read_bytes()
 
@@ -203,13 +176,16 @@ class TestCorruption:
         with pytest.raises(FormatError, match="magic"):
             load_checkpoint(path)
 
-    def test_unsupported_version(self, tmp_path):
+    @pytest.mark.parametrize("version", [0, 1, 99])
+    def test_unsupported_version(self, tmp_path, version):
         path = tmp_path / "model.nsn"
         save_checkpoint(path, sample_checkpoint())
         data = bytearray(path.read_bytes())
-        data[4] = 99
+        data[4] = version
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="version"):
+        with pytest.raises(FormatError,
+                           match=f"^{re.escape(str(path))}: unsupported "
+                                 f"checkpoint version {version}$"):
             load_checkpoint(path)
 
     def test_n_other_than_the_group_count_less_one_is_format_error(
@@ -274,10 +250,18 @@ class TestCorruption:
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
-    """A version 2 and a version 1 checkpoint file's bytes."""
+    """The bytes of a checkpoint file of each model count a run writes:
+    every model of a family, a baseline's base model, and none (the best
+    unknown)."""
     path = tmp_path_factory.mktemp("valid") / "model.nsn"
-    save_checkpoint(path, sample_checkpoint())
-    return [path.read_bytes(), version1_bytes()]
+    files = []
+    for best_epoch, accs in ((12, [0.9, 1 / 3, 0.97]), (12, [0.97]),
+                             (-1, [])):
+        ckpt = sample_checkpoint()
+        ckpt.best_epoch, ckpt.best_accuracies = best_epoch, accs
+        save_checkpoint(path, ckpt)
+        files.append(path.read_bytes())
+    return files
 
 
 @settings(deadline=None, max_examples=300)

@@ -106,7 +106,7 @@ class TestTrainCommand:
         code = main(["train", "--data-dir", str(data), "--out-dir", str(out),
                      "--n-hidden", "1", "--epochs", "1", "--batch", "100"])
         assert code == 2
-        assert "batch_size 100 exceeds" in capsys.readouterr().err
+        assert "--batch 100 exceeds" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value,name", [
@@ -173,17 +173,17 @@ class TestResume:
 
     def test_a_resume_that_runs_no_epoch_keeps_an_unknown_best(
             self, tmp_path, capsys):
-        # A version 1 file does not record the best, and a resume to its
-        # own epoch count evaluates no epoch that could be the best.
+        # A file of model count 0 does not record the best, and a resume
+        # to its own epoch count evaluates no epoch that could be the best.
         data = write_idx_dir(tmp_path / "data")
         out = tmp_path / "run"
         assert self.train(data, out, 1) == 0
-        v1 = tmp_path / "v1.nsn"
+        unknown = tmp_path / "unknown.nsn"
         ckpt = load_checkpoint(out / "checkpoint_final.nsn")
-        ckpt.version = 1
-        save_checkpoint(v1, ckpt)
+        ckpt.best_epoch, ckpt.best_accuracies = -1, []
+        save_checkpoint(unknown, ckpt)
         capsys.readouterr()
-        assert self.train(data, out, 1, "--resume", str(v1)) == 0
+        assert self.train(data, out, 1, "--resume", str(unknown)) == 0
         assert "best epoch unknown" in capsys.readouterr().out
         assert (out / "best.csv").read_text() == "best_epoch\n-1\n"
         final = load_checkpoint(out / "checkpoint_final.nsn")
@@ -270,7 +270,7 @@ class TestResume:
                               test_count=16)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert self.train(small, out, 3, "--resume", str(resume_from)) == 2
-        assert "batch_size 32 exceeds" in capsys.readouterr().err
+        assert "--batch 32 exceeds" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("row", [b"x\n", b"0,\xff\n"],
@@ -287,6 +287,38 @@ class TestResume:
                           str(out / "checkpoint_final.nsn")) == 2
         assert "metrics.csv line 3" in capsys.readouterr().err
         assert (out / "metrics.csv").read_bytes() == before
+
+    def test_resume_into_another_runs_out_dir_is_usage_error(
+            self, tmp_path, capsys):
+        # Its metrics.csv has another header, of other models.
+        data = write_idx_dir(tmp_path / "data")
+        assert self.train(data, tmp_path / "a", 1) == 0
+        other = tmp_path / "c"
+        assert main(["train-ref", "--n-hidden", "2", "--epochs", "2",
+                     "--batch", "32", "--data-dir", str(data),
+                     "--out-dir", str(other)]) == 0
+        before = {p.name: p.read_bytes() for p in other.iterdir()}
+        capsys.readouterr()
+        assert self.train(data, other, 2, "--resume",
+                          str(tmp_path / "a" / "checkpoint_final.nsn")) == 2
+        assert ("metrics.csv holds another run's metrics"
+                in capsys.readouterr().err)
+        assert {p.name: p.read_bytes() for p in other.iterdir()} == before
+
+    def test_resume_over_an_empty_metrics_file_keeps_no_row(self, tmp_path):
+        # as a crash between the file's truncation and its header's write
+        # leaves it
+        data = write_idx_dir(tmp_path / "data")
+        full, out = tmp_path / "full", tmp_path / "run"
+        assert self.train(data, full, 2) == 0
+        assert self.train(data, out, 1) == 0
+        (out / "metrics.csv").write_bytes(b"")
+        assert self.train(data, out, 2, "--resume",
+                          str(out / "checkpoint_final.nsn")) == 0
+        rows = (out / "metrics.csv").read_bytes().splitlines(keepends=True)
+        full_rows = (full / "metrics.csv").read_bytes().splitlines(
+            keepends=True)
+        assert rows == [full_rows[0], full_rows[2]]
 
 
 class TestEvalCommands:
